@@ -1,14 +1,33 @@
-"""Build script: compiles the optional Cython kernel core.
+"""Build script: compiles the optional kernel core.
 
-The package is fully functional without the extension (a pure-Python
-twin of the hot kernels is selected at import time), so any failure to
-build `etaint._ckernels` is demoted to a warning.
+The extension is built from the tracked `src/etaint/_ckernels.c`, which
+`cython -3` generates from `_ckernels.pyx`; building needs only a C
+compiler, not Cython.  The package is fully functional without the
+extension (a pure-Python twin of the hot kernels is selected at import
+time), so any failure to build `etaint._ckernels` is demoted to a
+warning.
 """
 
+import os
 import sys
 
-from setuptools import setup
+from setuptools import Extension, setup
+from setuptools.command.build import build
 from setuptools.command.build_ext import build_ext
+
+
+class SingleLibBuild(build):
+    """Build into <build-base>/lib, the layout of a pure package.
+
+    With an extension module setuptools would default to a
+    platform-tagged lib.<plat> directory; perfbench/build.py stages the
+    package from <build-base>/lib.
+    """
+
+    def finalize_options(self):
+        if self.build_lib is None:
+            self.build_lib = os.path.join(self.build_base, "lib")
+        super().finalize_options()
 
 
 class OptionalBuildExt(build_ext):
@@ -35,20 +54,7 @@ class OptionalBuildExt(build_ext):
         )
 
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/etaint/_ckernels.pyx"],
-        language_level=3,
-        compiler_directives={"boundscheck": False, "cdivision": True},
-    )
-except ImportError:
-    print(
-        "WARNING: Cython not available; building etaint without the "
-        "compiled kernel core.",
-        file=sys.stderr,
-    )
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("etaint._ckernels", ["src/etaint/_ckernels.c"])],
+    cmdclass={"build": SingleLibBuild, "build_ext": OptionalBuildExt},
+)

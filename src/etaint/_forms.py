@@ -1,7 +1,11 @@
-"""Integer ids for the weight functions the quadrature kernels understand.
+"""The kernel forms: one ``FORMS`` row per weight function.
 
-The compiled and pure-Python kernel twins both dispatch on these ids,
-so the two tables must stay in sync with ``_ckernels.pyx``.
+A row holds everything the engine knows about a form: its integer id
+(the compiled and pure-Python kernel twins both dispatch on these ids,
+so they must stay in sync with ``_ckernels.pyx``), whether it carries
+an eta factor, the domain of its parameters, and the weight's own decay
+model.  Adding a form takes one row here plus its weight code in each
+twin.
 
 Weight definitions (p1, p2 are the slots of the primary and secondary
 parameter; u denotes the integration variable of the substituted
@@ -32,6 +36,11 @@ F selectors for the transform-pair forms (slot p2):
 with a in slot p1.
 """
 
+from __future__ import annotations
+
+from math import pi, sqrt
+from typing import Callable, NamedTuple
+
 FORM_POWER = 0
 FORM_EXP = 1
 FORM_COS = 2
@@ -54,24 +63,68 @@ FSEL_EXP = 0
 FSEL_EXP_SQRT = 1
 FSEL_SIN_SQRT = 2
 
-FORM_IDS = {
-    "power": FORM_POWER,
-    "exp": FORM_EXP,
-    "cos": FORM_COS,
-    "sin": FORM_SIN,
-    "exp_recip": FORM_EXP_RECIP,
-    "cos_recip": FORM_COS_RECIP,
-    "erf_weight": FORM_ERF_WEIGHT,
-    "scaled_erfc_recip": FORM_SCALED_ERFC_RECIP,
-    "shifted_recip": FORM_SHIFTED_RECIP,
-    "sqrt_shift": FORM_SQRT_SHIFT,
-    "exp_over_x": FORM_EXP_OVER_X,
-    "im_rsqrt": FORM_IM_RSQRT,
-    "glaisher11": FORM_GLAISHER11,
-    "glaisher17": FORM_GLAISHER17,
-    "sech_aux": FORM_SECH_AUX,
-    "tp_rhs3_u": FORM_TP_RHS3_U,
-    "tp_rhs1_u": FORM_TP_RHS1_U,
-}
 
-FORM_NAMES = {v: k for k, v in FORM_IDS.items()}
+class Form(NamedTuple):
+    """One kernel form.
+
+    ``decay(a, p)`` returns (rate, m, amp) with |weight(x)| <= amp * x^m
+    * e^{-rate x} for x >= 1; the engine adds the eta factor's own rate.
+    It is None for glaisher11, whose tail is algebraic.  ``a_min`` is the
+    lower bound on the primary parameter (None when it is unbounded),
+    exclusive when ``a_open``; ``p_values`` lists the admissible
+    secondary parameters (None when any is).
+    """
+
+    id: int
+    eta: bool
+    decay: Callable[[float, float], tuple[float, float, float]] | None
+    a_min: float | None = None
+    a_open: bool = False
+    p_values: tuple[float, ...] | None = None
+
+
+def _power_law(m: float) -> Callable[[float, float], tuple[float, float, float]]:
+    return lambda a, p: (0.0, m, 1.0)
+
+
+FORMS: dict[str, Form] = {
+    "power": Form(FORM_POWER, True, lambda a, p: (0.0, -a, 1.0)),
+    "exp": Form(FORM_EXP, True, lambda a, p: (a, 0.0, 1.0), a_min=0.0),
+    "cos": Form(FORM_COS, True, _power_law(0.0), a_min=0.0),
+    "sin": Form(FORM_SIN, True, _power_law(0.0), a_min=0.0),
+    "exp_recip": Form(FORM_EXP_RECIP, True, _power_law(-0.5), a_min=0.0),
+    "cos_recip": Form(FORM_COS_RECIP, True, _power_law(-0.5), a_min=0.0),
+    "erf_weight": Form(FORM_ERF_WEIGHT, True, _power_law(-0.5), a_min=0.0),
+    "scaled_erfc_recip": Form(
+        FORM_SCALED_ERFC_RECIP, True, _power_law(-0.5), a_min=0.0
+    ),
+    "shifted_recip": Form(
+        FORM_SHIFTED_RECIP,
+        True,
+        lambda a, p: (0.0, -p, 1.0),
+        a_min=0.0,
+        p_values=(0.5, 1.0),
+    ),
+    "sqrt_shift": Form(FORM_SQRT_SHIFT, True, _power_law(-0.5)),
+    "exp_over_x": Form(FORM_EXP_OVER_X, True, lambda a, p: (a, -1.0, 1.0), a_min=0.0),
+    "im_rsqrt": Form(
+        FORM_IM_RSQRT, True, lambda a, p: (0.0, -1.5, a), a_min=0.0, a_open=True
+    ),
+    "glaisher11": Form(FORM_GLAISHER11, False, None),
+    "glaisher17": Form(FORM_GLAISHER17, False, lambda a, p: (0.5, -1.0, 2.0)),
+    "sech_aux": Form(FORM_SECH_AUX, False, lambda a, p: (1.0, p, 2.0), a_min=0.0),
+    "tp_rhs3_u": Form(
+        FORM_TP_RHS3_U,
+        False,
+        lambda a, p: (sqrt(pi), 1.0, 4.0)
+        if p == FSEL_EXP
+        else (sqrt(pi), 0.0, 4.0 / sqrt(pi)),
+    ),
+    "tp_rhs1_u": Form(
+        FORM_TP_RHS1_U,
+        False,
+        lambda a, p: (sqrt(pi / 3.0), 0.0, 4.0 * sqrt(pi))
+        if p == FSEL_EXP
+        else (sqrt(pi / 3.0), -1.0, 4.0),
+    ),
+}

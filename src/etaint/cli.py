@@ -47,7 +47,6 @@ class _Options:
     tol: float | None
     fmt: str
     output: str | None
-    jobs: int
 
 
 def _parse_tol(text: str | None) -> float | None:
@@ -282,7 +281,7 @@ def _run_records(options: _Options) -> int:
         ]
         report = verify.VerificationReport(records=tuple(records), tol_override=options.tol)
     else:
-        report = verify.run_suite(specs, options.tol, jobs=options.jobs)
+        report = verify.run_suite(specs, options.tol)
 
     if options.fmt == "json":
         text = json.dumps(build_report_payload(report, options.tol), indent=2) + "\n"
@@ -306,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", default=None)
     common.add_argument("--format", default="text", choices=["text", "json", "csv"])
     common.add_argument("--output", default=None, metavar="PATH")
-    common.add_argument("--jobs", type=int, default=1)
     run_p = sub.add_parser("run", parents=[common], help="verify identities")
     run_p.add_argument("--all", action="store_true", help="whole registry (default)")
     sub.add_parser("eval", parents=[common], help="verify a single identity")
@@ -341,7 +339,6 @@ def main(argv: list[str] | None = None) -> int:
             tol=tol,
             fmt=args.format,
             output=args.output,
-            jobs=max(1, args.jobs),
         )
         return _run_records(options)
     except (_CliError, DomainError) as exc:

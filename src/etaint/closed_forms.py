@@ -1,10 +1,13 @@
-"""Independent right-hand sides for every identity in the registry.
+"""Independent right-hand sides of the identities in the registry.
 
-Everything is computed through specfun and elementary (real or complex)
-functions; never through the quadrature that produces the left-hand
-sides.  The three exceptions whose right-hand side *is* an integral
-(A2, A4, A6) delegate to ``quad.integrate_rhs_aux`` and are marked
-``rhs-by-quadrature`` in the registry, as weaker evidence.
+Each registry row (``verify.default_registry``) binds its identity to
+one of the named functions here; ``closed_form`` looks the row up by
+id.  Everything is computed through specfun and elementary (real or
+complex) functions; never through the quadrature that produces the
+left-hand sides.  The three exceptions whose right-hand side *is* an
+integral (A2, A4, A6) call ``quad.integrate_rhs_aux`` from their rows
+and are marked ``rhs-by-quadrature`` in the registry notes, as weaker
+evidence.
 
 Two display-level defects of the printed source equations are corrected
 here so that the identities hold (the registry notes record both):
@@ -31,7 +34,7 @@ import cmath
 import math
 from math import atan, cos, cosh, exp, factorial, pi, sin, sinh, sqrt, tanh
 
-from . import quad, specfun
+from . import specfun
 from .errors import DomainError
 
 __all__ = [
@@ -40,6 +43,13 @@ __all__ = [
     "fourier_cos_eta",
     "fourier_sin_eta",
     "laplace_eta3",
+    "mellin_eta3",
+    "cos_recip_eta3",
+    "erf_weight_eta3",
+    "scaled_erfc_recip_eta3",
+    "fourier_cos_eta3",
+    "fourier_sin_eta3",
+    "moment_eta3",
     "closed_form",
     "closed_form_ids",
     "rhs_by_quadrature",
@@ -108,8 +118,9 @@ def mellin_eta(s: float) -> float:
     elif s > 0.5:
         ratio = exp(specfun.log_gamma(w) - specfun.log_gamma(s))
     else:
-        # Gamma(w) = Gamma(w+1)/w for w in (-1, 0)
-        ratio = exp(specfun.log_gamma(w + 1.0) - specfun.log_gamma(s)) / w
+        # Gamma(w) = Gamma(w+1)/w for w in (-1, 0); w + 1 is written 2s
+        # because w = 2s - 1 has already rounded away the low digits of s.
+        ratio = exp(specfun.log_gamma(2.0 * s) - specfun.log_gamma(s)) / w
     return prefactor * ratio * z
 
 
@@ -144,64 +155,18 @@ def laplace_eta3(y: float) -> float:
     return 1.0 / cosh(u)
 
 
-def _cf_eq5(params):
-    return laplace_eta(params["t"])
-
-
-def _cf_eq7(params):
-    return mellin_eta(params["s"])
-
-
-def _cf_eq8(params):
-    return fourier_cos_eta(params["y"])
-
-
-def _cf_eq10(params):
-    return fourier_sin_eta(params["y"])
-
-
-def _cf_eq13(params):
-    # 2 pi / cosh(pi sqrt(2 z)); the sech argument equals sqrt(pi * 2 pi z)
-    # so this is exactly 2 pi times the eta^3 Laplace transform at 2 pi z.
-    z = _finite(params["z"], "z")
-    if z < 0.0:
-        raise DomainError(f"EQ13 requires z >= 0, got {z}")
-    return 2.0 * pi * laplace_eta3(2.0 * pi * z)
-
-
-def _cf_eq14(params):
-    return laplace_eta3(params["y"])
-
-
-def _cf_a2(params, tol):
-    return quad.integrate_rhs_aux("A2_rhs", params["a"], tol).value
-
-
-def _cf_a3(params):
-    nu = _finite(params["nu"], "nu")
+def mellin_eta3(nu: float) -> float:
+    """A3: int x^{-nu} eta^3(ix) dx = (4/pi^nu) Gamma(2nu)/Gamma(nu) beta(2nu)."""
+    nu = _finite(nu, "nu")
     if nu <= 0.0:
         raise DomainError(f"A3 requires nu > 0, got {nu}")
     ratio = exp(specfun.log_gamma(2.0 * nu) - specfun.log_gamma(nu))
     return 4.0 / pi ** nu * ratio * specfun.dirichlet_beta(2.0 * nu)
 
 
-def _cf_a4(params, tol):
-    return quad.integrate_rhs_aux("A4_rhs", params["a"], tol).value
-
-
-def _cf_a5(params):
-    a = _finite(params["a"], "a")
-    if a < 0.0:
-        raise DomainError(f"A5 requires a >= 0, got {a}")
-    return laplace_eta3(a)
-
-
-def _cf_a6(params, tol):
-    return quad.integrate_rhs_aux("A6_rhs", params["y"], tol).value
-
-
-def _cf_a8(params):
-    a = _finite(params["a"], "a")
+def cos_recip_eta3(a: float) -> float:
+    """A8: int x^{-1/2} cos(a/x) eta^3(ix) dx."""
+    a = _finite(a, "a")
     if a < 0.0:
         raise DomainError(f"A8 requires a >= 0, got {a}")
     u = sqrt(pi * a / 2.0)
@@ -209,111 +174,83 @@ def _cf_a8(params):
     return 2.0 * cos(u) * cosh(u) / (cos(v) + cosh(v))
 
 
-def _cf_a9(params):
-    b = _finite(params["b"], "b")
+def erf_weight_eta3(b: float) -> float:
+    """A9: int x^{-1/2} erf(sqrt(b x)) eta^3(ix) dx."""
+    b = _finite(b, "b")
     if b < 0.0:
         raise DomainError(f"A9 requires b >= 0, got {b}")
     return 4.0 / pi * atan(tanh(0.5 * sqrt(pi * b)))
 
 
-def _cf_a10(params):
-    # As printed, including the 1/(pi sqrt(a)) prefactor that fails the
-    # asymptotic checks; the registry flags this identity.
-    a = _finite(params["a"], "a")
+def scaled_erfc_recip_eta3(a: float) -> float:
+    """A10 as printed: int x^{-1/2} exp(a/x) erfc(sqrt(a/x)) eta^3(ix) dx.
+
+    Includes the 1/(pi sqrt(a)) prefactor that fails the asymptotic
+    checks; the registry flags this identity.
+    """
+    a = _finite(a, "a")
     if a <= 0.0:
         raise DomainError(f"A10 requires a > 0, got {a}")
     z = 0.5 * sqrt(a / pi)
     return (specfun.digamma(z + 0.75) - specfun.digamma(z + 0.25)) / (pi * sqrt(a))
 
 
-def _cf_a11(params):
-    y = _finite(params["y"], "y")
+def fourier_cos_eta3(y: float) -> float:
+    """A11: int cos(xy) eta^3(ix) dx."""
+    y = _finite(y, "y")
     if y < 0.0:
         raise DomainError(f"A11 requires y >= 0, got {y}")
     v = sqrt(pi * y / 2.0)
     return cosh(v) * cos(v) / (sinh(v) ** 2 + cos(v) ** 2)
 
 
-def _cf_a12(params):
-    y = _finite(params["y"], "y")
+def fourier_sin_eta3(y: float) -> float:
+    """A12: int sin(xy) eta^3(ix) dx."""
+    y = _finite(y, "y")
     if y < 0.0:
         raise DomainError(f"A12 requires y >= 0, got {y}")
     v = sqrt(pi * y / 2.0)
     return sinh(v) * sin(v) / (sinh(v) ** 2 + cos(v) ** 2)
 
 
-def _cf_a15(params):
-    n = params["n"]
+def moment_eta3(n) -> float:
+    """A15: int x^n eta^3(ix) dx = n! 4^(n+1)/pi^(n+1) beta(2n+1)."""
     if n != int(n) or n < 0:
         raise DomainError(f"A15 requires an integer n >= 0, got {n!r}")
     n = int(n)
     return factorial(n) * 4.0 ** (n + 1) / pi ** (n + 1) * specfun.dirichlet_beta(2 * n + 1)
 
 
-_CONSTANT_FORMS = {
-    "EQ9": TWO_PI_OVER_SQRT3,
-    "EQ11": pi / 4.0,
-    "EQ16": sqrt(2.0) - 1.0,
-    "EQ17": pi / 8.0,
-    "A7": sqrt(2.0) - 1.0,
-    "A13": TWO_PI_OVER_SQRT3,
-    "A14": 1.0,
-}
+_REGISTRY_BY_ID: dict = {}
 
-_PARAM_FORMS = {
-    "EQ5": _cf_eq5,
-    "EQ7": _cf_eq7,
-    "EQ8": _cf_eq8,
-    "EQ10": _cf_eq10,
-    "EQ13": _cf_eq13,
-    "EQ14": _cf_eq14,
-    "A1": _cf_eq14,
-    "A3": _cf_a3,
-    "A5": _cf_a5,
-    "A8": _cf_a8,
-    "A9": _cf_a9,
-    "A10": _cf_a10,
-    "A11": _cf_a11,
-    "A12": _cf_a12,
-    "A15": _cf_a15,
-}
 
-_QUAD_FORMS = {
-    "A2": _cf_a2,
-    "A4": _cf_a4,
-    "A6": _cf_a6,
-}
+def _registry_by_id() -> dict:
+    # Built once, on first use: verify imports this module.
+    if not _REGISTRY_BY_ID:
+        from . import verify
+
+        _REGISTRY_BY_ID.update((spec.id, spec) for spec in verify.default_registry())
+    return _REGISTRY_BY_ID
 
 
 def closed_form_ids() -> tuple[str, ...]:
-    """All identity ids with a right-hand-side evaluator."""
-    return tuple(
-        sorted({**_CONSTANT_FORMS, **_PARAM_FORMS, **_QUAD_FORMS}, key=_id_key)
-    )
-
-
-def _id_key(ident: str) -> tuple[int, int]:
-    if ident.startswith("EQ"):
-        return (0, int(ident[2:]))
-    return (1, int(ident[1:]))
+    """All identity ids with a right-hand-side evaluator, in registry order."""
+    return tuple(_registry_by_id())
 
 
 def rhs_by_quadrature(ident: str) -> bool:
     """True when the right-hand side is itself evaluated by quadrature."""
-    return ident in _QUAD_FORMS
+    spec = _registry_by_id().get(ident)
+    return spec is not None and spec.notes.startswith("rhs-by-quadrature")
 
 
 def closed_form(ident: str, params: dict | None = None, tol: float = 1e-11) -> float:
-    """Evaluate the right-hand side of an identity.
+    """Evaluate the right-hand side of an identity in the registry.
 
     ``tol`` only matters for the rhs-by-quadrature ids (A2, A4, A6).
     Raises DomainError for unknown ids or out-of-domain parameters.
     """
-    params = params or {}
-    if ident in _CONSTANT_FORMS:
-        return _CONSTANT_FORMS[ident]
-    if ident in _PARAM_FORMS:
-        return _PARAM_FORMS[ident](params)
-    if ident in _QUAD_FORMS:
-        return _QUAD_FORMS[ident](params, tol)
-    raise DomainError(f"unknown identity id {ident!r}")
+    spec = _registry_by_id().get(ident)
+    if spec is None:
+        raise DomainError(f"unknown identity id {ident!r}")
+    return spec.rhs(params or {}, tol)

@@ -39,23 +39,15 @@ EVAL_BUDGET = 100_000
 _LO_CLIP = 1e-12
 _MIN_TOL = 1e-13
 
-# Forms that carry no eta factor (n = 0 only).
-_AUX_FORMS = frozenset(
-    {
-        F.FORM_GLAISHER11,
-        F.FORM_GLAISHER17,
-        F.FORM_SECH_AUX,
-        F.FORM_TP_RHS3_U,
-        F.FORM_TP_RHS1_U,
-    }
-)
+# The eta factor's own decay rate: eta(ix) <= e^{-pi x/12}, eta^3(ix) <= e^{-pi x/4}.
+_ETA_RATE = {0: 0.0, 1: pi / 12.0, 3: pi / 4.0}
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A weight function times an eta power.
 
-    ``form`` is a name from ``_forms.FORM_IDS``; ``a`` is the primary
+    ``form`` is a key of ``_forms.FORMS``; ``a`` is the primary
     parameter, ``p`` the secondary one (the shifted_recip exponent, the
     sech_aux moment, or the transform-pair F selector).  ``n`` is the
     eta power: 1 or 3 for the identity kernels, 0 for the auxiliary
@@ -68,41 +60,29 @@ class KernelSpec:
     p: float = 1.0
 
     def __post_init__(self):
-        if self.form not in F.FORM_IDS:
+        row = F.FORMS.get(self.form)
+        if row is None:
             raise DomainError(f"unknown kernel form {self.form!r}")
-        if self.n not in (0, 1, 3):
+        if self.n not in _ETA_RATE:
             raise DomainError(f"eta power must be 0, 1 or 3, got {self.n}")
         a = float(self.a)
         if math.isnan(a) or math.isinf(a):
             raise DomainError(f"kernel parameter must be finite, got {a!r}")
-        fid = F.FORM_IDS[self.form]
-        if fid in _AUX_FORMS:
-            if self.n != 0:
-                raise DomainError(f"form {self.form!r} carries no eta factor (n=0)")
-        elif self.n == 0:
+        if not row.eta and self.n != 0:
+            raise DomainError(f"form {self.form!r} carries no eta factor (n=0)")
+        if row.eta and self.n == 0:
             raise DomainError(f"form {self.form!r} requires an eta factor (n=1 or 3)")
-        if fid in (
-            F.FORM_EXP,
-            F.FORM_COS,
-            F.FORM_SIN,
-            F.FORM_EXP_RECIP,
-            F.FORM_COS_RECIP,
-            F.FORM_ERF_WEIGHT,
-            F.FORM_SCALED_ERFC_RECIP,
-            F.FORM_SHIFTED_RECIP,
-            F.FORM_EXP_OVER_X,
-            F.FORM_SECH_AUX,
-        ):
-            if a < 0.0:
-                raise DomainError(f"form {self.form!r} requires parameter >= 0")
-        if fid == F.FORM_IM_RSQRT and a <= 0.0:
-            raise DomainError("im_rsqrt requires parameter > 0")
-        if fid == F.FORM_SHIFTED_RECIP and self.p not in (0.5, 1.0):
-            raise DomainError("shifted_recip exponent must be 1/2 or 1")
+        if row.a_min is not None and (a <= row.a_min if row.a_open else a < row.a_min):
+            bound = f"{'>' if row.a_open else '>='} {row.a_min:g}"
+            raise DomainError(f"form {self.form!r} requires parameter {bound}")
+        if row.p_values is not None and self.p not in row.p_values:
+            raise DomainError(
+                f"form {self.form!r} requires secondary parameter in {row.p_values}"
+            )
 
     @property
     def form_id(self) -> int:
-        return F.FORM_IDS[self.form]
+        return F.FORMS[self.form].id
 
 
 @dataclass(frozen=True)
@@ -120,51 +100,11 @@ class QuadResult:
 
 def _decay_model(k: KernelSpec) -> tuple[float, float, float]:
     """(rate, m, amp) with |integrand(x)| <= amp * x^m * e^{-rate x} for x >= 1."""
-    fid = k.form_id
-    if k.n == 1:
-        rate, m, amp = pi / 12.0, 0.0, 1.0
-    elif k.n == 3:
-        rate, m, amp = pi / 4.0, 0.0, 1.0
-    else:
-        rate, m, amp = 0.0, 0.0, 1.0
-    if fid == F.FORM_POWER:
-        m -= k.a
-    elif fid in (F.FORM_EXP, F.FORM_EXP_OVER_X):
-        rate += k.a
-        if fid == F.FORM_EXP_OVER_X:
-            m -= 1.0
-    elif fid in (
-        F.FORM_EXP_RECIP,
-        F.FORM_COS_RECIP,
-        F.FORM_ERF_WEIGHT,
-        F.FORM_SCALED_ERFC_RECIP,
-        F.FORM_SQRT_SHIFT,
-    ):
-        m -= 0.5
-    elif fid == F.FORM_SHIFTED_RECIP:
-        m -= k.p
-    elif fid == F.FORM_IM_RSQRT:
-        m -= 1.5
-        amp *= k.a
-    elif fid == F.FORM_GLAISHER17:
-        rate, m, amp = 0.5, -1.0, 2.0
-    elif fid == F.FORM_SECH_AUX:
-        rate, m, amp = 1.0, k.p, 2.0
-    elif fid == F.FORM_TP_RHS3_U:
-        rate = sqrt(pi)
-        if k.p == F.FSEL_EXP:
-            m, amp = 1.0, 4.0
-        else:
-            m, amp = 0.0, 4.0 / sqrt(pi)
-    elif fid == F.FORM_TP_RHS1_U:
-        rate = sqrt(pi / 3.0)
-        if k.p == F.FSEL_EXP:
-            m, amp = 0.0, 4.0 * sqrt(pi)
-        else:
-            m, amp = -1.0, 4.0
-    elif fid == F.FORM_GLAISHER11:
-        raise DomainError("glaisher11 uses the algebraic tail, not a decay model")
-    return rate, m, amp
+    decay = F.FORMS[k.form].decay
+    if decay is None:
+        raise DomainError(f"form {k.form!r} uses the algebraic tail, not a decay model")
+    rate, m, amp = decay(k.a, k.p)
+    return rate + _ETA_RATE[k.n], m, amp
 
 
 def _tail_integral_bound(rate: float, m: float, amp: float, x: float) -> float:
@@ -373,11 +313,8 @@ def integrate_glaisher(
     raise DomainError(f"unknown Glaisher integral {which!r}")
 
 
-_RHS_AUX = {
-    "A2_rhs": (1.0, "a"),
-    "A4_rhs": (0.0, "a"),
-    "A6_rhs": (1.0, "y"),
-}
+# which -> sech_aux moment (the power of x in the integrand).
+_RHS_AUX = {"A2_rhs": 1.0, "A4_rhs": 0.0, "A6_rhs": 1.0}
 
 
 def integrate_rhs_aux(
@@ -399,7 +336,7 @@ def integrate_rhs_aux(
     param = float(param)
     if not (math.isfinite(param) and param >= 0.0):
         raise DomainError(f"{which} requires a finite parameter >= 0, got {param!r}")
-    moment, _ = _RHS_AUX[which]
+    moment = _RHS_AUX[which]
     if which == "A6_rhs":
         lo = sqrt(pi * param)
         a = 0.0
@@ -407,7 +344,7 @@ def integrate_rhs_aux(
         lo = 0.0
         a = param
     scale = 2.0 / pi
-    rate, m, amp = 1.0, moment, 2.0
+    rate, m, amp = F.FORMS["sech_aux"].decay(a, moment)
     hi, tail = _choose_cutoff(rate, m, amp, lo, 0.25 * tol / scale)
     value, perr, evals = _adaptive(
         F.FORM_SECH_AUX, 0, a, moment, lo, hi, 0.5 * tol / scale, max_evals

@@ -2,8 +2,8 @@
 
 Each registry entry binds one left-hand integral (evaluated through the
 quadrature engine and the eta series) to its independent right-hand
-side (evaluated through closed_forms), together with a parameter grid,
-a tolerance and an expected status.  A record passes when
+side (built from closed_forms), together with a parameter grid, a
+tolerance and an expected status.  A record passes when
 
     abs_residual <= max(tol, 10 * lhs_err_est)
 
@@ -44,6 +44,7 @@ class IdentitySpec:
 
     id: str
     kernel: Callable[[dict], KernelSpec] | str  # builder, or a Glaisher selector
+    rhs: Callable[[dict, float], float]  # (params, tol) -> right-hand side
     param_grid: tuple[dict, ...]
     tol: float
     expected_status: str = "pass"  # "pass" | "flagged"
@@ -93,17 +94,23 @@ class VerificationReport:
         return sum(r.ms for r in self.records)
 
 
+def _const(value: float) -> Callable[[dict, float], float]:
+    return lambda params, tol: value
+
+
 def _grid(name: str, values) -> tuple[dict, ...]:
     return tuple({name: float(v)} for v in values)
 
 
 def default_registry() -> list[IdentitySpec]:
-    """The identity corpus: 25 identities, 62 grid records."""
+    """The identity corpus: 25 identities, 71 grid records."""
     pi = math.pi
+    cf = closed_forms
     reg = [
         IdentitySpec(
             id="EQ5",
             kernel=lambda p: KernelSpec("exp", 1, a=p["t"]),
+            rhs=lambda p, tol: cf.laplace_eta(p["t"]),
             param_grid=_grid("t", [0.1, 1.0, 3.0 * pi, 10.0]),
             tol=_PARAM_TOL,
             anchor="int_0^inf exp(-t x) eta(ix) dx = sqrt(pi/t) sinh(2 sqrt(pi t/3)) / cosh(sqrt(3 pi t))",
@@ -111,6 +118,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ7",
             kernel=lambda p: KernelSpec("power", 1, a=p["s"]),
+            rhs=lambda p, tol: cf.mellin_eta(p["s"]),
             param_grid=_grid("s", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]),
             tol=_PARAM_TOL,
             notes="s = 1/2 and s = 1 use the pole-cancellation limit paths",
@@ -123,6 +131,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ8",
             kernel=lambda p: KernelSpec("cos", 1, a=p["y"]),
+            rhs=lambda p, tol: cf.fourier_cos_eta(p["y"]),
             param_grid=_grid("y", [0.5, 1.0, 5.0, 20.0]),
             tol=_PARAM_TOL,
             notes=(
@@ -136,6 +145,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ9",
             kernel=lambda p: KernelSpec("exp", 1, a=0.0),
+            rhs=_const(cf.TWO_PI_OVER_SQRT3),
             param_grid=({},),
             tol=_CONSTANT_TOL,
             anchor="int_0^inf eta(ix) dx = 2 pi / sqrt(3)",
@@ -143,6 +153,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ10",
             kernel=lambda p: KernelSpec("sin", 1, a=p["y"]),
+            rhs=lambda p, tol: cf.fourier_sin_eta(p["y"]),
             param_grid=_grid("y", [0.5, 1.0, 5.0, 20.0]),
             tol=_PARAM_TOL,
             notes="same display defect as EQ8; implemented as -Im[laplace_eta(i y)]",
@@ -151,6 +162,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ11",
             kernel="eq11",
+            rhs=_const(pi / 4.0),
             param_grid=({},),
             tol=_CONSTANT_TOL,
             notes="algebraic tail: integrand -> 1/x^2, handled as a 1/X correction",
@@ -159,6 +171,9 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ13",
             kernel=lambda p: KernelSpec("exp", 3, a=2.0 * math.pi * p["z"]),
+            # 2 pi / cosh(pi sqrt(2 z)); the sech argument equals sqrt(pi * 2 pi z)
+            # so this is exactly 2 pi times the eta^3 Laplace transform at 2 pi z.
+            rhs=lambda p, tol: 2.0 * pi * cf.laplace_eta3(2.0 * pi * p["z"]),
             param_grid=_grid("z", [0.25, 1.0, 4.0]),
             tol=_PARAM_TOL,
             lhs_scale=2.0 * pi,
@@ -171,6 +186,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ14",
             kernel=lambda p: KernelSpec("exp", 3, a=p["y"]),
+            rhs=lambda p, tol: cf.laplace_eta3(p["y"]),
             param_grid=_grid("y", [0.25, 1.0, 4.0]),
             tol=_PARAM_TOL,
             anchor="int_0^inf exp(-x y) eta^3(ix) dx = sech(sqrt(pi y))",
@@ -178,6 +194,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ16",
             kernel=lambda p: KernelSpec("sqrt_shift", 3),
+            rhs=_const(math.sqrt(2.0) - 1.0),
             param_grid=({},),
             tol=_CONSTANT_TOL,
             notes=(
@@ -193,6 +210,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="EQ17",
             kernel="eq17",
+            rhs=_const(pi / 8.0),
             param_grid=({},),
             tol=_CONSTANT_TOL,
             anchor="int_0^inf sinh(x/2) sin(x/2)/(x (cosh x + cos x)) dx = pi/8",
@@ -200,6 +218,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A1",
             kernel=lambda p: KernelSpec("exp", 3, a=p["y"]),
+            rhs=lambda p, tol: cf.laplace_eta3(p["y"]),
             param_grid=_grid("y", [0.25, 1.0, 4.0]),
             tol=_PARAM_TOL,
             notes="same transform as EQ14",
@@ -208,6 +227,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A2",
             kernel=lambda p: KernelSpec("shifted_recip", 3, a=p["a"], p=1.0),
+            rhs=lambda p, tol: quad.integrate_rhs_aux("A2_rhs", p["a"], tol).value,
             param_grid=_grid("a", [0.5, 1.0, 4.0]),
             tol=_PARAM_TOL,
             notes="rhs-by-quadrature: both sides are integrals (weaker evidence)",
@@ -219,6 +239,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A3",
             kernel=lambda p: KernelSpec("power", 3, a=p["nu"]),
+            rhs=lambda p, tol: cf.mellin_eta3(p["nu"]),
             param_grid=_grid("nu", [0.5, 1.0, 1.5, 3.0]),
             tol=_PARAM_TOL,
             anchor=(
@@ -229,6 +250,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A4",
             kernel=lambda p: KernelSpec("shifted_recip", 3, a=p["a"], p=0.5),
+            rhs=lambda p, tol: quad.integrate_rhs_aux("A4_rhs", p["a"], tol).value,
             param_grid=_grid("a", [0.5, 1.0, 4.0]),
             tol=_PARAM_TOL,
             notes="rhs-by-quadrature: both sides are integrals (weaker evidence)",
@@ -240,6 +262,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A5",
             kernel=lambda p: KernelSpec("exp_recip", 3, a=p["a"]),
+            rhs=lambda p, tol: cf.laplace_eta3(p["a"]),
             param_grid=_grid("a", [0.25, 1.0, 4.0]),
             tol=_PARAM_TOL,
             anchor="int_0^inf x^-1/2 exp(-a/x) eta^3(ix) dx = sech(sqrt(pi a))",
@@ -247,6 +270,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A6",
             kernel=lambda p: KernelSpec("exp_over_x", 3, a=p["y"]),
+            rhs=lambda p, tol: quad.integrate_rhs_aux("A6_rhs", p["y"], tol).value,
             param_grid=_grid("y", [0.5, 1.0, 4.0]),
             tol=_PARAM_TOL,
             notes="rhs-by-quadrature: both sides are integrals (weaker evidence)",
@@ -258,6 +282,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A7",
             kernel=lambda p: KernelSpec("sqrt_shift", 3),
+            rhs=_const(math.sqrt(2.0) - 1.0),
             param_grid=({},),
             tol=_CONSTANT_TOL,
             anchor="int_0^inf sqrt((sqrt(x^2+1)-1)/(x^2+1)) eta^3(ix) dx = sqrt(2) - 1",
@@ -265,6 +290,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A8",
             kernel=lambda p: KernelSpec("cos_recip", 3, a=p["a"]),
+            rhs=lambda p, tol: cf.cos_recip_eta3(p["a"]),
             param_grid=_grid("a", [0.25, 1.0, 4.0]),
             tol=_PARAM_TOL,
             anchor=(
@@ -275,6 +301,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A9",
             kernel=lambda p: KernelSpec("erf_weight", 3, a=p["b"]),
+            rhs=lambda p, tol: cf.erf_weight_eta3(p["b"]),
             param_grid=_grid("b", [0.25, 1.0, 4.0]),
             tol=_PARAM_TOL,
             anchor=(
@@ -285,6 +312,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A10",
             kernel=lambda p: KernelSpec("scaled_erfc_recip", 3, a=p["a"]),
+            rhs=lambda p, tol: cf.scaled_erfc_recip_eta3(p["a"]),
             param_grid=_grid("a", [0.25, 1.0, 4.0]),
             tol=_PARAM_TOL,
             expected_status="flagged",
@@ -303,6 +331,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A11",
             kernel=lambda p: KernelSpec("cos", 3, a=p["y"]),
+            rhs=lambda p, tol: cf.fourier_cos_eta3(p["y"]),
             param_grid=_grid("y", [0.5, 1.0, 5.0, 20.0]),
             tol=_PARAM_TOL,
             anchor=(
@@ -313,6 +342,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A12",
             kernel=lambda p: KernelSpec("sin", 3, a=p["y"]),
+            rhs=lambda p, tol: cf.fourier_sin_eta3(p["y"]),
             param_grid=_grid("y", [0.5, 1.0, 5.0, 20.0]),
             tol=_PARAM_TOL,
             anchor=(
@@ -323,6 +353,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A13",
             kernel=lambda p: KernelSpec("exp", 1, a=0.0),
+            rhs=_const(cf.TWO_PI_OVER_SQRT3),
             param_grid=({},),
             tol=_CONSTANT_TOL,
             anchor="int_0^inf eta(ix) dx = 2 pi / sqrt(3)  [appendix]",
@@ -330,6 +361,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A14",
             kernel=lambda p: KernelSpec("exp", 3, a=0.0),
+            rhs=_const(1.0),
             param_grid=({},),
             tol=_CONSTANT_TOL,
             anchor="int_0^inf eta^3(ix) dx = 1",
@@ -337,6 +369,7 @@ def default_registry() -> list[IdentitySpec]:
         IdentitySpec(
             id="A15",
             kernel=lambda p: KernelSpec("power", 3, a=-p["n"]),
+            rhs=lambda p, tol: cf.moment_eta3(p["n"]),
             param_grid=_grid("n", [0, 1, 2, 3]),
             tol=_PARAM_TOL,
             notes=(
@@ -357,8 +390,18 @@ def _pass_status(abs_residual: float, tol: float, lhs_err: float) -> str:
 def verify_identity(
     spec: IdentitySpec, params: dict | None = None, tol: float | None = None
 ) -> IdentityRecord:
-    """Verify one identity at one grid point."""
+    """Verify one identity at one grid point.
+
+    The parameter names must be those of the identity's grid; otherwise
+    DomainError names the valid ones.
+    """
     params = dict(params or {})
+    names = spec.param_grid[0].keys()
+    if params.keys() != names:
+        raise DomainError(
+            f"{spec.id} takes parameters: {', '.join(names) or 'none'};"
+            f" got: {', '.join(params) or 'none'}"
+        )
     tol = float(tol) if tol is not None else spec.tol
     quad_tol = max(tol / 10.0, 1e-13)
     t0 = time.perf_counter()
@@ -474,20 +517,13 @@ def transform_pair_check(
 def run_suite(
     registry: list[IdentitySpec] | None = None,
     tol_override: float | None = None,
-    jobs: int = 1,
 ) -> VerificationReport:
-    """Run every (identity, grid point) pair; record order is the registry
-    order regardless of execution order."""
+    """Run every (identity, grid point) pair in registry order."""
     if registry is None:
         registry = default_registry()
-    tasks = [(spec, point) for spec in registry for point in spec.param_grid]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(
-                pool.map(lambda sp: verify_identity(sp[0], sp[1], tol_override), tasks)
-            )
-    else:
-        records = [verify_identity(spec, point, tol_override) for spec, point in tasks]
+    records = [
+        verify_identity(spec, point, tol_override)
+        for spec in registry
+        for point in spec.param_grid
+    ]
     return VerificationReport(records=tuple(records), tol_override=tol_override)

@@ -1,5 +1,7 @@
 """Compiled vs pure-Python kernel twins must agree point for point."""
 
+import math
+
 import pytest
 
 from etaint import _forms as F
@@ -65,6 +67,16 @@ class TestTwins:
             vc = cy.panel(form, n, p1, p2, a, b)
             for u, v in zip(vp, vc):
                 assert u == pytest.approx(v, rel=1e-13, abs=1e-300)
+
+
+def test_every_form_has_a_case_and_a_finite_pure_weight():
+    py = _BACKENDS["python"]
+    for name, row in F.FORMS.items():
+        cases = [case for case in CASES if case[0] == row.id]
+        assert cases, f"no twin case for form {name!r}"
+        for _, _, p1, p2 in cases:
+            for x in XS:
+                assert math.isfinite(py.kernel_weight(row.id, p1, p2, x)), (name, x)
 
 
 @needs_compiled

@@ -171,3 +171,24 @@ class TestExitCodeContract:
             status="fail", evals=15, ms=0.1,
         )
         assert cli.exit_code_for_report(verify.VerificationReport(records=(rec,))) == 1
+
+
+class TestParameterNames:
+    def test_wrong_name_lists_valid_names(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--identity", "EQ5", "--param", "s=1")
+        assert code == cli.USAGE_ERROR
+        assert "EQ5 takes parameters: t" in err
+        assert "Traceback" not in err
+
+    def test_constant_identity_takes_no_parameters(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--identity", "EQ9", "--param", "t=3")
+        assert code == cli.USAGE_ERROR
+        assert "EQ9 takes parameters: none" in err
+        assert "pass" not in out
+
+    def test_table_sweep_of_unknown_name(self, capsys):
+        code, _, err = run_cli(
+            capsys, "table", "--identity", "EQ7", "--param", "x=0.25:1.0:0.25"
+        )
+        assert code == cli.USAGE_ERROR
+        assert "EQ7 takes parameters: s" in err

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from etaint import specfun
+from etaint._forms import FORMS
 from etaint.errors import DomainError, NonConvergenceError
 from etaint.quad import (
     EVAL_BUDGET,
@@ -139,9 +140,14 @@ class TestKernelSpecValidation:
             KernelSpec("exp", 0, a=1.0)
 
     def test_negative_parameters_rejected(self):
-        for form in ("exp", "cos", "sin", "exp_recip", "erf_weight", "exp_over_x"):
+        bounded = {name: row for name, row in FORMS.items() if row.a_min is not None}
+        assert "im_rsqrt" in bounded and "exp" in bounded
+        for name, row in bounded.items():
+            n = 3 if row.eta else 0
+            below = row.a_min if row.a_open else row.a_min - 0.5
             with pytest.raises(DomainError):
-                KernelSpec(form, 3 if form != "exp_over_x" else 3, a=-0.5)
+                KernelSpec(name, n, a=below)
+            KernelSpec(name, n, a=row.a_min + 0.5)  # inside the domain
 
     def test_shifted_recip_exponent(self):
         with pytest.raises(DomainError):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from etaint import quad, verify
-from etaint.errors import NonConvergenceError
+from etaint.errors import DomainError, NonConvergenceError
 
 
 class TestRegistry:
@@ -78,6 +78,19 @@ class TestVerifyIdentity:
         rec = verify.verify_identity(reg["A14"], {})
         assert rec.status == "fail"
         assert "synthetic budget exhaustion" in rec.note
+
+    def test_missing_parameter_is_a_domain_error(self):
+        reg = {spec.id: spec for spec in verify.default_registry()}
+        with pytest.raises(DomainError, match="EQ5 takes parameters: t; got: none"):
+            verify.verify_identity(reg["EQ5"], {})
+
+    @pytest.mark.parametrize("s", [1e-5, 1e-7, 1e-9])
+    def test_eq7_small_s(self, s):
+        # w = 2s - 1 keeps few digits of s; Gamma(w + 1) must be Gamma(2s)
+        reg = {spec.id: spec for spec in verify.default_registry()}
+        rec = verify.verify_identity(reg["EQ7"], {"s": s})
+        assert rec.status == "pass"
+        assert rec.abs_residual <= 1e-10
 
 
 class TestTransformPairs:
@@ -167,11 +180,3 @@ class TestRunSuite:
         assert rep.records == ()
         assert rep.counts == {"pass": 0, "fail": 0, "flagged": 0}
         assert rep.max_pass_residual == 0.0
-
-    def test_parallel_order_matches_serial(self):
-        reg = [s for s in verify.default_registry() if s.id in ("A14", "A3")]
-        serial = verify.run_suite(reg)
-        parallel = verify.run_suite(reg, jobs=4)
-        assert [r.id for r in serial.records] == [r.id for r in parallel.records]
-        for a, b in zip(serial.records, parallel.records):
-            assert a.lhs_value == b.lhs_value
