@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import os
 
-from . import _pykernels
-
+# _pykernels is imported only when it is the backend in use (or when
+# available_backends() lists it), so the compiled backend never pays for it.
 if os.environ.get("ETAINT_PURE") == "1":
-    _impl = _pykernels
+    from . import _pykernels as _impl
 else:
     try:
         from . import _ckernels as _impl  # type: ignore[no-redef]
     except ImportError:
-        _impl = _pykernels
+        from . import _pykernels as _impl  # type: ignore[no-redef]
 
 BACKEND = _impl.BACKEND_NAME
 
@@ -30,6 +30,8 @@ panel = _impl.panel
 
 def available_backends() -> dict[str, object]:
     """Map backend name -> kernel module, for tests and benchmarks."""
+    from . import _pykernels
+
     out: dict[str, object] = {"python": _pykernels}
     try:
         from . import _ckernels  # type: ignore[attr-defined]

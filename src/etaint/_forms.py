@@ -3,9 +3,9 @@
 A row holds everything the engine knows about a form: its integer id
 (the compiled and pure-Python kernel twins both dispatch on these ids,
 so they must stay in sync with ``_ckernels.pyx``), whether it carries
-an eta factor, the domain of its parameters, and the weight's own decay
-model.  Adding a form takes one row here plus its weight code in each
-twin.
+an eta factor, the domain of its parameters, the weight's own decay
+model, and for exp, cos and sin the weight's exact Laplace tail.  Adding
+a form takes one row here plus its weight code in each twin.
 
 Weight definitions (p1, p2 are the slots of the primary and secondary
 parameter; u denotes the integration variable of the substituted
@@ -38,7 +38,7 @@ with a in slot p1.
 
 from __future__ import annotations
 
-from math import pi, sqrt
+from math import cos, exp, pi, sin, sqrt
 from typing import Callable, NamedTuple
 
 FORM_POWER = 0
@@ -73,6 +73,12 @@ class Form(NamedTuple):
     lower bound on the primary parameter (None when it is unbounded),
     exclusive when ``a_open``; ``p_values`` lists the admissible
     secondary parameters (None when any is).
+
+    ``laplace_tail(a, lam, x0)`` is int_{x0}^inf weight(x) e^{-lam x} dx
+    in closed form, for lam > 0 and x0 >= 1; the engine integrates the
+    eta factor's q-series against it term by term beyond x0.  It is set
+    only on weights with |weight(x)| <= 1 for x >= 1, which the engine's
+    truncation and rounding bounds rely on, and is None elsewhere.
     """
 
     id: int
@@ -81,6 +87,22 @@ class Form(NamedTuple):
     a_min: float | None = None
     a_open: bool = False
     p_values: tuple[float, ...] | None = None
+    laplace_tail: Callable[[float, float, float], float] | None = None
+
+
+def _exp_tail(a: float, lam: float, x0: float) -> float:
+    s = lam + a
+    return exp(-s * x0) / s
+
+
+def _cos_tail(a: float, lam: float, x0: float) -> float:
+    t = a * x0
+    return exp(-lam * x0) * (lam * cos(t) - a * sin(t)) / (lam * lam + a * a)
+
+
+def _sin_tail(a: float, lam: float, x0: float) -> float:
+    t = a * x0
+    return exp(-lam * x0) * (lam * sin(t) + a * cos(t)) / (lam * lam + a * a)
 
 
 def _power_law(m: float) -> Callable[[float, float], tuple[float, float, float]]:
@@ -89,9 +111,11 @@ def _power_law(m: float) -> Callable[[float, float], tuple[float, float, float]]
 
 FORMS: dict[str, Form] = {
     "power": Form(FORM_POWER, True, lambda a, p: (0.0, -a, 1.0)),
-    "exp": Form(FORM_EXP, True, lambda a, p: (a, 0.0, 1.0), a_min=0.0),
-    "cos": Form(FORM_COS, True, _power_law(0.0), a_min=0.0),
-    "sin": Form(FORM_SIN, True, _power_law(0.0), a_min=0.0),
+    "exp": Form(
+        FORM_EXP, True, lambda a, p: (a, 0.0, 1.0), a_min=0.0, laplace_tail=_exp_tail
+    ),
+    "cos": Form(FORM_COS, True, _power_law(0.0), a_min=0.0, laplace_tail=_cos_tail),
+    "sin": Form(FORM_SIN, True, _power_law(0.0), a_min=0.0, laplace_tail=_sin_tail),
     "exp_recip": Form(FORM_EXP_RECIP, True, _power_law(-0.5), a_min=0.0),
     "cos_recip": Form(FORM_COS_RECIP, True, _power_law(-0.5), a_min=0.0),
     "erf_weight": Form(FORM_ERF_WEIGHT, True, _power_law(-0.5), a_min=0.0),

@@ -147,6 +147,9 @@ def build_report_payload(report: verify.VerificationReport, tol: float | None) -
                 "status": r.status,
                 "evals": r.evals,
                 "ms": r.ms,
+                "cutoff": r.cutoff,
+                "tail_method": r.tail_method,
+                "note": r.note,
             }
             for r in report.records
         ],

@@ -26,7 +26,15 @@ from math import exp, pi
 
 from .errors import DomainError, ToleranceError
 
-__all__ = ["EtaValue", "eta", "eta_cubed", "eta_product", "trunc_terms_needed"]
+__all__ = [
+    "EtaValue",
+    "eta",
+    "eta_cubed",
+    "eta_product",
+    "trunc_terms_needed",
+    "series_terms",
+    "remainder_integral_bound",
+]
 
 TERM_BUDGET = 10_000
 
@@ -54,6 +62,27 @@ def _check_args(x: float, tol: float) -> tuple[float, float]:
     return x, tol
 
 
+def _rate(power: int, n: int) -> float:
+    return (pi / 12.0 if power == 1 else pi / 4.0) * (2 * n + 1) ** 2
+
+
+def series_terms(power: int, n_terms: int) -> list[tuple[float, float]]:
+    """The nonzero terms among the first n_terms of the series, as (c_n, lam_n).
+
+    eta^power(ix) = sum_n c_n e^{-lam_n x}, with lam_n = pi (2n+1)^2 / 12
+    for eta and pi (2n+1)^2 / 4 for eta^3.
+    """
+    out = []
+    for n in range(n_terms):
+        if power == 1:
+            c = _ETA_COEF[n % 6]
+        else:
+            c = float(2 * n + 1) if n % 2 == 0 else -float(2 * n + 1)
+        if c != 0.0:
+            out.append((c, _rate(power, n)))
+    return out
+
+
 def _tail_bound(x_eff: float, power: int, n_terms: int) -> float:
     """Bound on the omitted tail after n_terms terms of the series at x_eff.
 
@@ -63,17 +92,23 @@ def _tail_bound(x_eff: float, power: int, n_terms: int) -> float:
              omitted term (2N+1) q^{(2N+1)^2/8} bounds the tail.
     """
     n = n_terms
-    lam = 2.0 * pi * x_eff  # q = exp(-lam)
-    if power == 1:
-        e = lam * (2 * n + 1) ** 2 / 24.0
-        if e > 745.0:
-            return 0.0
-        ratio = exp(-lam * (n + 1) / 3.0)
-        return exp(-e) / (1.0 - ratio)
-    e = lam * (2 * n + 1) ** 2 / 8.0
+    e = _rate(power, n) * x_eff
     if e > 745.0:
         return 0.0
+    if power == 1:
+        ratio = exp(-2.0 * pi * x_eff * (n + 1) / 3.0)
+        return exp(-e) / (1.0 - ratio)
     return (2 * n + 1) * exp(-e)
+
+
+def remainder_integral_bound(x0: float, power: int, n_terms: int) -> float:
+    """Bound on int_{x0}^inf |eta^power(ix) - first n_terms of the series| dx.
+
+    For x0 >= 1.  The pointwise bound ``_tail_bound(x, power, N)`` is
+    e^{-lam_N x} times a factor that does not grow with x, so its
+    integral over [x0, inf) is at most ``_tail_bound(x0, power, N) / lam_N``.
+    """
+    return _tail_bound(x0, power, n_terms) / _rate(power, n_terms)
 
 
 def trunc_terms_needed(x_eff: float, power: int, tol: float) -> int:
@@ -95,29 +130,13 @@ def trunc_terms_needed(x_eff: float, power: int, tol: float) -> int:
     )
 
 
-def _eta_series(x_eff: float, n_terms: int) -> float:
-    c = pi * x_eff / 12.0  # q^{(2n+1)^2/24} = exp(-c (2n+1)^2)
+def _series(x_eff: float, power: int, n_terms: int) -> float:
     acc = 0.0
-    for n in range(n_terms):
-        coef = _ETA_COEF[n % 6]
-        if coef == 0.0:
-            continue
-        e = c * (2 * n + 1) ** 2
+    for c, lam in series_terms(power, n_terms):
+        e = lam * x_eff
         if e > 745.0:
             break
-        acc += coef * exp(-e)
-    return acc
-
-
-def _eta3_series(x_eff: float, n_terms: int) -> float:
-    c = pi * x_eff / 4.0  # q^{(2n+1)^2/8} = exp(-c (2n+1)^2)
-    acc = 0.0
-    for n in range(n_terms):
-        e = c * (2 * n + 1) ** 2
-        if e > 745.0:
-            break
-        t = (2 * n + 1) * exp(-e)
-        acc += t if n % 2 == 0 else -t
+        acc += c * exp(-e)
     return acc
 
 
@@ -135,7 +154,7 @@ def _eval(x: float, tol: float, power: int) -> EtaValue:
     # the per-series tolerance keeps the term search well-posed.
     tol_eff = max(tol / amp, 1e-320)
     n = trunc_terms_needed(x_eff, power, tol_eff)
-    series = _eta_series(x_eff, n) if power == 1 else _eta3_series(x_eff, n)
+    series = _series(x_eff, power, n)
     tail = _tail_bound(x_eff, power, n)
     if series == 0.0 and tail == 0.0:
         return EtaValue(value=0.0, trunc_bound=0.0, terms_used=n, path=path)

@@ -1,11 +1,23 @@
 """Adaptive quadrature over [0, inf) for weights times eta powers.
 
-Strategy: pick a finite cutoff X from the integrand's decay model
-(eta(ix) <= e^{-pi x/12} and eta^3(ix) <= e^{-pi x/4} for x >= 1, times
-the weight's own growth/decay), adaptively bisect [lo, X] with a nested
-Gauss-Kronrod 7/15 panel rule (worst-panel-first), and account for the
-tail either as an error bound (exponential decay) or as an explicit
-1/X correction (the algebraic-tail Glaisher integrand).
+Strategy: adaptively bisect [lo, X] with a nested Gauss-Kronrod 7/15
+panel rule (worst-panel-first) and account for [X, inf) by one of three
+tail methods (``QuadResult.tail_method``):
+
+* ``series-correction`` -- the exp, cos and sin weights (the forms with
+  a ``laplace_tail``).  X = 1, the point where the kernels switch from
+  the modular transform to the direct q-series.  Beyond it eta^n(ix) is
+  the short exponential sum ``dedekind.series_terms``, so the tail
+  integral is a finite sum of closed-form Laplace tails of the weight,
+  added to the value.  Its error is the integral of the series'
+  truncation bound plus a rounding bound.  Only the direct series is
+  used, never the modular transform or a right-hand side.
+* ``exp-bound`` -- every other decaying integrand.  X comes from the
+  decay model (eta(ix) <= e^{-pi x/12} and eta^3(ix) <= e^{-pi x/4} for
+  x >= 1, times the weight's own growth/decay); the tail is dropped and
+  its bound enters the error.
+* ``algebraic-correction`` -- the Glaisher integrand of EQ11, whose tail
+  is 1/X up to an exponentially small remainder.
 
 Weights with an x^{-s}-type factor start at lo = 1e-12 instead of 0;
 the eta factor decays like x^{-n/2} e^{-n pi/(12 x)} there, so the
@@ -22,7 +34,7 @@ import math
 from dataclasses import dataclass
 from math import exp, fsum, log, pi, sqrt
 
-from . import _backend
+from . import _backend, dedekind
 from . import _forms as F
 from .errors import DomainError, NonConvergenceError
 
@@ -38,6 +50,9 @@ __all__ = [
 EVAL_BUDGET = 100_000
 _LO_CLIP = 1e-12
 _MIN_TOL = 1e-13
+_EPS = 2.220446049250313e-16
+# Default split point of the series-correction tail (see the module docstring).
+_SERIES_SPLIT = 1.0
 
 # The eta factor's own decay rate: eta(ix) <= e^{-pi x/12}, eta^3(ix) <= e^{-pi x/4}.
 _ETA_RATE = {0: 0.0, 1: pi / 12.0, 3: pi / 4.0}
@@ -87,15 +102,24 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Integral estimate with its error budget and tail metadata."""
+    """Integral estimate with its error budget and tail metadata.
+
+    ``err_est`` is the panel estimates plus ``tail_err`` plus the bound on
+    the mass clipped below ``lower``.  ``tail_value`` is the part of
+    ``value`` that the tail method added for [cutoff, inf).
+    """
 
     value: float
     err_est: float
     evals: int
     cutoff: float
-    tail_method: str  # "exp-bound" | "algebraic-correction" | "none"
+    # "series-correction": tail_value = int_cutoff^inf from the q-series;
+    # "exp-bound": tail dropped, tail_value = 0, tail_err bounds it;
+    # "algebraic-correction": tail_value = 1/cutoff (EQ11).
+    tail_method: str
     tail_value: float = 0.0
     lower: float = 0.0
+    tail_err: float = 0.0
 
 
 def _decay_model(k: KernelSpec) -> tuple[float, float, float]:
@@ -136,6 +160,26 @@ def _choose_cutoff(
                 f"no cutoff below 1e5 reaches tail tolerance {tol_tail}"
             )
         x *= 1.5
+
+
+def _series_tail(kernel: KernelSpec, laplace_tail, x0: float) -> tuple[float, float]:
+    """(int_{x0}^inf w(x) eta^n(ix) dx, its error bound), term by term.
+
+    Sums the weight's Laplace tail over the terms of the direct q-series
+    until the integrated remainder is below eps times the mass bound, so
+    the error is dominated by rounding.
+    """
+    # With no terms the remainder bound bounds int_{x0}^inf |eta^n|, and
+    # so the integral of |w eta^n|, because |w| <= 1 there.
+    bound = dedekind.remainder_integral_bound
+    mass = bound(x0, kernel.n, 0)
+    n_terms = 1
+    while (trunc := bound(x0, kernel.n, n_terms)) > _EPS * mass:
+        n_terms += 1
+    terms = dedekind.series_terms(kernel.n, n_terms)
+    value = fsum(c * laplace_tail(kernel.a, lam, x0) for c, lam in terms)
+    # Rounding: 50 eps times the mass, as the panel rule's 50 eps * resabs floor.
+    return value, trunc + 50.0 * _EPS * mass
 
 
 def _initial_breakpoints(lo: float, hi: float) -> list[float]:
@@ -223,11 +267,11 @@ def integrate(
 ) -> QuadResult:
     """Integrate f(x) eta^n(ix) dx over [0, inf) to absolute tolerance tol.
 
-    ``cutoff`` overrides the automatic upper truncation point (used by
-    the cutoff-robustness checks).  Raises NonConvergenceError when the
-    evaluation budget is exhausted before the panel sum reaches the
-    tolerance; raises DomainError for parameters outside the kernel's
-    validity range.
+    ``cutoff`` overrides the point where quadrature stops (used by the
+    cutoff-robustness checks); for the series-correction forms it must
+    be >= 1.  Raises NonConvergenceError when the evaluation budget is
+    exhausted before the panel sum reaches the tolerance; raises
+    DomainError for parameters outside the kernel's validity range.
     """
     if not isinstance(kernel, KernelSpec):
         raise DomainError("kernel must be a KernelSpec")
@@ -238,25 +282,38 @@ def integrate(
     if rate <= 0.0:
         raise DomainError(f"kernel {kernel.form!r} has no decaying tail model")
     lo = _LO_CLIP if kernel.n >= 1 else 0.0
-    if cutoff is None:
-        hi, tail = _choose_cutoff(rate, m, amp, lo, 0.25 * tol)
+    laplace_tail = F.FORMS[kernel.form].laplace_tail
+    if laplace_tail is not None:
+        hi = _SERIES_SPLIT if cutoff is None else float(cutoff)
+        if not (math.isfinite(hi) and hi >= _SERIES_SPLIT):
+            raise DomainError(
+                f"cutoff must be >= {_SERIES_SPLIT:g} for form {kernel.form!r},"
+                f" got {cutoff!r}"
+            )
+        method = "series-correction"
+        tail_value, tail = _series_tail(kernel, laplace_tail, hi)
     else:
-        hi = float(cutoff)
-        if not (math.isfinite(hi) and hi > lo):
-            raise DomainError(f"cutoff must exceed the lower limit, got {cutoff!r}")
-        tail = _tail_integral_bound(rate, m, amp, hi)
+        method, tail_value = "exp-bound", 0.0
+        if cutoff is None:
+            hi, tail = _choose_cutoff(rate, m, amp, lo, 0.25 * tol)
+        else:
+            hi = float(cutoff)
+            if not (math.isfinite(hi) and hi > lo):
+                raise DomainError(f"cutoff must exceed the lower limit, got {cutoff!r}")
+            tail = _tail_integral_bound(rate, m, amp, hi)
     value, perr, evals = _adaptive(
         kernel.form_id, kernel.n, kernel.a, kernel.p, lo, hi, 0.5 * tol, max_evals
     )
     mass = _lower_mass_bound(kernel, m, amp, lo) if lo > 0.0 else 0.0
     return QuadResult(
-        value=value,
+        value=value + tail_value,
         err_est=perr + tail + mass,
         evals=evals,
         cutoff=hi,
-        tail_method="exp-bound",
-        tail_value=0.0,
+        tail_method=method,
+        tail_value=tail_value,
         lower=lo,
+        tail_err=tail,
     )
 
 
@@ -286,6 +343,7 @@ def _integrate_glaisher11(
         tail_method="algebraic-correction",
         tail_value=1.0 / hi,
         lower=0.0,
+        tail_err=remainder,
     )
 
 
@@ -357,4 +415,5 @@ def integrate_rhs_aux(
         tail_method="exp-bound",
         tail_value=0.0,
         lower=lo,
+        tail_err=scale * tail,
     )

@@ -68,6 +68,8 @@ class IdentityRecord:
     evals: int
     ms: float
     note: str = ""
+    cutoff: float | None = None  # where the quadrature stopped; None if it failed
+    tail_method: str | None = None  # QuadResult.tail_method; None if it failed
 
 
 @dataclass(frozen=True)
@@ -412,7 +414,6 @@ def verify_identity(
             res = quad.integrate(spec.kernel(params), quad_tol)
         lhs = spec.lhs_scale * res.value
         lhs_err = spec.lhs_scale * res.err_est
-        evals = res.evals
     except NonConvergenceError as exc:
         ms = 1e3 * (time.perf_counter() - t0)
         return IdentityRecord(
@@ -445,9 +446,11 @@ def verify_identity(
         abs_residual=abs_res,
         rel_residual=rel_res,
         status=status,
-        evals=evals,
+        evals=res.evals,
         ms=ms,
         note=spec.notes,
+        cutoff=res.cutoff,
+        tail_method=res.tail_method,
     )
 
 
@@ -511,6 +514,8 @@ def transform_pair_check(
         evals=lhs_res.evals + rhs_res.evals,
         ms=ms,
         note="transform-pair mechanism (both sides quadratures)",
+        cutoff=lhs_res.cutoff,
+        tail_method=lhs_res.tail_method,
     )
 
 

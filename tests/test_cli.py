@@ -4,6 +4,7 @@ import json
 import math
 
 from etaint import cli, verify
+from etaint.errors import NonConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +55,32 @@ class TestEval:
         assert "unknown identity" in err
 
 
+class TestRecordDiagnostics:
+    def test_json_record_carries_tail_method_cutoff_and_note(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--identity", "EQ8", "--param", "y=400", "--format", "json"
+        )
+        assert code == 0
+        (rec,) = json.loads(out)["records"]
+        assert rec["tail_method"] == "series-correction"
+        assert rec["cutoff"] == 1.0
+        assert "display" in rec["note"]
+
+    def test_nonconvergence_reports_null_tail_and_reason(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise NonConvergenceError("synthetic budget exhaustion")
+
+        monkeypatch.setattr(verify.quad, "integrate", exhausted)
+        code, out, _ = run_cli(
+            capsys, "eval", "--identity", "EQ8", "--param", "y=5", "--format", "json"
+        )
+        assert code == 1
+        (rec,) = json.loads(out)["records"]
+        assert rec["status"] == "fail"
+        assert rec["cutoff"] is None and rec["tail_method"] is None
+        assert "synthetic budget exhaustion" in rec["note"]
+
+
 class TestTable:
     def test_eq7_sweep(self, capsys):
         code, out, _ = run_cli(
@@ -75,6 +102,16 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--identity", "EQ7")
         assert code == cli.USAGE_ERROR
         assert "lo:hi:step" in err
+
+    def test_eq8_large_y_sweep(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--identity", "EQ8", "--param", "y=100:400:100",
+            "--format", "json",
+        )
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert [r["params"]["y"] for r in records] == [100.0, 200.0, 300.0, 400.0]
+        assert all(r["status"] == "pass" for r in records)
 
     def test_bad_range(self, capsys):
         code, _, err = run_cli(

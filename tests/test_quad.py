@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from etaint import specfun
+from etaint import closed_forms, specfun
 from etaint._forms import FORMS
 from etaint.errors import DomainError, NonConvergenceError
 from etaint.quad import (
@@ -14,6 +14,8 @@ from etaint.quad import (
     integrate_glaisher,
     integrate_rhs_aux,
 )
+
+from conftest import eta_transform_series_oracle
 
 TWO_PI_OVER_SQRT3 = 2.0 * math.pi / math.sqrt(3.0)
 
@@ -95,6 +97,8 @@ class TestEngineContracts:
             KernelSpec("exp", 3, a=1.0),
             KernelSpec("power", 3, a=1.5),
             KernelSpec("exp_recip", 3, a=1.0),
+            KernelSpec("cos", 1, a=100.0),
+            KernelSpec("sin", 3, a=100.0),
         ],
     )
     def test_cutoff_doubling(self, kernel):
@@ -112,7 +116,7 @@ class TestEngineContracts:
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(NonConvergenceError):
-            integrate(KernelSpec("cos", 1, a=20.0), 1e-13, max_evals=600)
+            integrate(KernelSpec("cos", 1, a=2000.0), 1e-13, max_evals=600)
 
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
@@ -122,6 +126,82 @@ class TestEngineContracts:
         r = integrate(KernelSpec("exp", 3, a=0.0), 1e-11)
         assert r.err_est > 0.0
         assert r.err_est <= 1e-11
+
+
+def _mp_integral(form: str, n: int, a: float, lo: float) -> float:
+    """int_lo^inf w(x) eta^n(ix) dx by mpmath at 30 digits, lo in {0, 1}.
+
+    eta comes from its product form q^{1/24} prod (1 - q^k), never from
+    the q-series the engine sums; below x = 1 it is mapped through
+    eta(ix) = x^{-1/2} eta(i/x).  Beyond x = 180 (eta) or 60 (eta^3)
+    the integrand is below e^{-15 pi}, so the omitted part is < 1e-20.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        eps = mpmath.mpf(10) ** -35
+        a = mpmath.mpf(a)
+        weight = {
+            "exp": lambda x: mpmath.exp(-a * x),
+            "cos": lambda x: mpmath.cos(a * x),
+            "sin": lambda x: mpmath.sin(a * x),
+        }[form]
+
+        def eta_product(x):
+            q = mpmath.exp(-2 * mpmath.pi * x)
+            prod, qk = mpmath.mpf(1), q
+            while qk > eps:
+                prod *= 1 - qk
+                qk *= q
+            return mpmath.exp(-mpmath.pi * x / 12) * prod
+
+        def integrand(x):
+            eta = eta_product(x) if x >= 1 else eta_product(1 / x) / mpmath.sqrt(x)
+            return weight(x) * eta**n
+
+        upper = 180 if n == 1 else 60
+        total = mpmath.quad(integrand, mpmath.linspace(1, upper, upper // 2 + 1),
+                            method="gauss-legendre")
+        if lo == 0:
+            total += mpmath.quad(integrand, [0, 1])
+        return float(total)
+
+
+_TAIL_CASES = [
+    ("exp", 1, 0.0), ("exp", 1, 1.0), ("exp", 3, 0.0), ("exp", 3, 1.0),
+    ("cos", 1, 5.0), ("cos", 3, 5.0), ("sin", 1, 5.0), ("sin", 3, 5.0),
+]
+
+
+class TestSeriesCorrectionTail:
+    """exp/cos/sin kernels integrate [1, inf) term by term from the q-series."""
+
+    @pytest.mark.parametrize("form,n,a", _TAIL_CASES)
+    def test_tail_matches_mpmath(self, form, n, a):
+        r = integrate(KernelSpec(form, n, a=a), 1e-11)
+        assert r.tail_method == "series-correction" and r.cutoff == 1.0
+        oracle = _mp_integral(form, n, a, 1)
+        assert abs(r.tail_value - oracle) <= r.tail_err, (r.tail_value, oracle)
+
+    @pytest.mark.parametrize("form,n,a", [c for c in _TAIL_CASES if c[0] == "exp"])
+    def test_whole_integral_matches_mpmath(self, form, n, a):
+        r = integrate(KernelSpec(form, n, a=a), 1e-11)
+        oracle = _mp_integral(form, n, a, 0)
+        assert abs(r.value - oracle) <= r.err_est, (r.value, oracle)
+
+    def test_cutoff_below_the_split_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(KernelSpec("cos", 1, a=5.0), 1e-11, cutoff=0.5)
+
+    def test_independent_of_right_hand_sides(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the left-hand side read a right-hand side")
+
+        for name in ("closed_form", "fourier_cos_eta", "laplace_eta"):
+            monkeypatch.setattr(closed_forms, name, forbidden)
+        r = integrate(KernelSpec("cos", 1, a=5.0), 1e-11)
+        assert r.tail_method == "series-correction"
+        ref = eta_transform_series_oracle(lambda lam, y: lam / (lam * lam + y * y), 5.0)
+        assert abs(r.value - ref) <= 1e-10
 
 
 class TestKernelSpecValidation:

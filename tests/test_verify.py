@@ -93,6 +93,31 @@ class TestVerifyIdentity:
         assert rec.abs_residual <= 1e-10
 
 
+class TestFourierLargeY:
+    """The Fourier identities at y where the quadrature out to the eta
+    decay cutoff used to exhaust the evaluation budget, and at the off-grid
+    points where its error estimate used to miss the true error."""
+
+    @pytest.mark.parametrize("y", [200.0, 400.0, 2000.0])
+    @pytest.mark.parametrize("ident", ["EQ8", "EQ10", "A11", "A12"])
+    def test_large_y_passes_within_budget(self, ident, y):
+        reg = {spec.id: spec for spec in verify.default_registry()}
+        rec = verify.verify_identity(reg[ident], {"y": y})
+        assert rec.status == "pass", rec.note
+        assert 0 < rec.evals <= quad.EVAL_BUDGET
+        assert rec.tail_method == "series-correction"
+
+    @pytest.mark.parametrize(
+        "ident,y",
+        [("A12", 112.9), ("A12", 121.2), ("A11", 224.6), ("A11", 252.267),
+         ("A11", 281.8), ("A11", 304.4)],
+    )
+    def test_off_grid_points_pass(self, ident, y):
+        reg = {spec.id: spec for spec in verify.default_registry()}
+        rec = verify.verify_identity(reg[ident], {"y": y})
+        assert rec.status == "pass", (rec.abs_residual, rec.lhs_err_est)
+
+
 class TestTransformPairs:
     def test_exp_pair_three_way_with_a2(self):
         rec = verify.transform_pair_check("exp", 3, a=1.0, tol=1e-9)
