@@ -14,15 +14,14 @@ Output formats: text (default), json, csv.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import verify
+from . import __version__, verify
 from ._backend import BACKEND
 from .errors import DomainError
 
@@ -38,8 +37,7 @@ class _CliError(Exception):
     """Usage error: reported with the offending flag and valid domain."""
 
 
-@dataclass
-class _Options:
+class _Options(NamedTuple):
     command: str
     identities: list[str]
     params: dict[str, float]
@@ -104,10 +102,6 @@ def _sweep_values(lo: float, hi: float, step: float) -> list[float]:
     return out
 
 
-def _registry_by_id() -> dict[str, verify.IdentitySpec]:
-    return {spec.id: spec for spec in verify.default_registry()}
-
-
 def _resolve_ids(ids: list[str], registry: dict[str, verify.IdentitySpec]):
     unknown = [i for i in ids if i not in registry]
     if unknown:
@@ -118,6 +112,25 @@ def _resolve_ids(ids: list[str], registry: dict[str, verify.IdentitySpec]):
     return [registry[i] for i in ids]
 
 
+def _record_payload(r: verify.IdentityRecord) -> dict:
+    """One record as the JSON report and, in this column order, the CSV hold it."""
+    return {
+        "id": r.id,
+        "params": r.params,
+        "lhs": r.lhs_value,
+        "lhs_err": r.lhs_err_est,
+        "rhs": r.rhs_value,
+        "abs_residual": r.abs_residual,
+        "rel_residual": r.rel_residual,
+        "status": r.status,
+        "evals": r.evals,
+        "ms": r.ms,
+        "cutoff": r.cutoff,
+        "tail_method": r.tail_method,
+        "note": r.note,
+    }
+
+
 def build_report_payload(report: verify.VerificationReport, tol: float | None) -> dict:
     """The stable JSON schema consumed by CI."""
     counts = report.counts
@@ -126,6 +139,8 @@ def build_report_payload(report: verify.VerificationReport, tol: float | None) -
             "tol": tol,
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "backend": BACKEND,
+            "version": __version__,
+            "python": sys.version.split()[0],
             "totals": {
                 "records": len(report.records),
                 "pass": counts["pass"],
@@ -133,26 +148,10 @@ def build_report_payload(report: verify.VerificationReport, tol: float | None) -
                 "flagged": counts["flagged"],
                 "max_pass_residual": report.max_pass_residual,
                 "ms": report.total_ms,
+                "evals": sum(r.evals for r in report.records),
             },
         },
-        "records": [
-            {
-                "id": r.id,
-                "params": r.params,
-                "lhs": r.lhs_value,
-                "lhs_err": r.lhs_err_est,
-                "rhs": r.rhs_value,
-                "abs_residual": r.abs_residual,
-                "rel_residual": r.rel_residual,
-                "status": r.status,
-                "evals": r.evals,
-                "ms": r.ms,
-                "cutoff": r.cutoff,
-                "tail_method": r.tail_method,
-                "note": r.note,
-            }
-            for r in report.records
-        ],
+        "records": [_record_payload(r) for r in report.records],
     }
 
 
@@ -184,37 +183,16 @@ def _render_text(report: verify.VerificationReport, tol: float | None) -> str:
 
 
 def _render_csv(report: verify.VerificationReport) -> str:
+    import csv  # only this format needs it; kept off the start-up path
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "id",
-            "params",
-            "lhs",
-            "lhs_err",
-            "rhs",
-            "abs_residual",
-            "rel_residual",
-            "status",
-            "evals",
-            "ms",
-        ]
-    )
-    for r in report.records:
-        writer.writerow(
-            [
-                r.id,
-                _format_params(r.params),
-                repr(r.lhs_value),
-                repr(r.lhs_err_est),
-                repr(r.rhs_value),
-                repr(r.abs_residual),
-                repr(r.rel_residual),
-                r.status,
-                r.evals,
-                repr(r.ms),
-            ]
-        )
+    rows = [_record_payload(r) for r in report.records]
+    if rows:
+        writer.writerow(rows[0])  # the header: the JSON record keys
+    for row in rows:
+        row["params"] = _format_params(row["params"])
+        writer.writerow(row.values())  # floats as repr, None as ""
     return buf.getvalue()
 
 
@@ -257,7 +235,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _run_records(options: _Options) -> int:
-    registry = _registry_by_id()
+    registry = verify.registry_by_id()
     if options.command == "run" and not options.identities:
         specs = list(registry.values())
     else:
@@ -330,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         if args.command == "list":
-            _emit(_render_list(_registry_by_id(), args.format), args.output)
+            _emit(_render_list(verify.registry_by_id(), args.format), args.output)
             return 0
         tol = _parse_tol(args.tol if args.tol is not None else os.environ.get("ETAINT_TOL"))
         params, sweep = _parse_params(args.param)

@@ -221,16 +221,10 @@ def moment_eta3(n) -> float:
     return factorial(n) * 4.0 ** (n + 1) / pi ** (n + 1) * specfun.dirichlet_beta(2 * n + 1)
 
 
-_REGISTRY_BY_ID: dict = {}
-
-
 def _registry_by_id() -> dict:
-    # Built once, on first use: verify imports this module.
-    if not _REGISTRY_BY_ID:
-        from . import verify
+    from . import verify  # imported on first use: verify imports this module
 
-        _REGISTRY_BY_ID.update((spec.id, spec) for spec in verify.default_registry())
-    return _REGISTRY_BY_ID
+    return verify.registry_by_id()
 
 
 def closed_form_ids() -> tuple[str, ...]:

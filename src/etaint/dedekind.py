@@ -21,8 +21,8 @@ series (whose coefficients are not sign-alternating term by term).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import exp, pi
+from typing import NamedTuple
 
 from .errors import DomainError, ToleranceError
 
@@ -42,8 +42,7 @@ TERM_BUDGET = 10_000
 _ETA_COEF = (1.0, 0.0, -1.0, -1.0, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class EtaValue:
+class EtaValue(NamedTuple):
     """An eta-power value with its truncation-error certificate."""
 
     value: float

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from math import exp, fsum, log, pi, sqrt
+from typing import NamedTuple
 
 from . import _backend, dedekind
 from . import _forms as F
@@ -58,23 +58,28 @@ _SERIES_SPLIT = 1.0
 _ETA_RATE = {0: 0.0, 1: pi / 12.0, 3: pi / 4.0}
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class _KernelFields(NamedTuple):
+    form: str
+    n: int
+    a: float = 0.0
+    p: float = 1.0
+
+
+class KernelSpec(_KernelFields):
     """A weight function times an eta power.
 
     ``form`` is a key of ``_forms.FORMS``; ``a`` is the primary
     parameter, ``p`` the secondary one (the shifted_recip exponent, the
     sech_aux moment, or the transform-pair F selector).  ``n`` is the
     eta power: 1 or 3 for the identity kernels, 0 for the auxiliary
-    integrands that carry no eta factor.
+    integrands that carry no eta factor.  Every construction, ``_make``
+    and ``_replace`` included, checks the parameters against the form.
     """
 
-    form: str
-    n: int
-    a: float = 0.0
-    p: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         row = F.FORMS.get(self.form)
         if row is None:
             raise DomainError(f"unknown kernel form {self.form!r}")
@@ -94,14 +99,19 @@ class KernelSpec:
             raise DomainError(
                 f"form {self.form!r} requires secondary parameter in {row.p_values}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (which _replace calls) bypasses __new__.
+        return cls(*iterable)
 
     @property
     def form_id(self) -> int:
         return F.FORMS[self.form].id
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Integral estimate with its error budget and tail metadata.
 
     ``err_est`` is the panel estimates plus ``tail_err`` plus the bound on

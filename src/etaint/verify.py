@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from functools import cache
+from typing import Callable, NamedTuple
 
 from . import closed_forms, quad
 from .errors import DomainError, NonConvergenceError
@@ -29,6 +29,7 @@ __all__ = [
     "IdentityRecord",
     "VerificationReport",
     "default_registry",
+    "registry_by_id",
     "verify_identity",
     "transform_pair_check",
     "run_suite",
@@ -38,8 +39,7 @@ _CONSTANT_TOL = 1e-10
 _PARAM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """Declarative binding of a left-hand integral to its closed form."""
 
     id: str
@@ -53,8 +53,7 @@ class IdentitySpec:
     anchor: str = ""
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """Result of one (identity, grid point) verification."""
 
     id: str
@@ -72,8 +71,7 @@ class IdentityRecord:
     tail_method: str | None = None  # QuadResult.tail_method; None if it failed
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """All records of a suite run plus summary statistics."""
 
     records: tuple[IdentityRecord, ...]
@@ -383,6 +381,12 @@ def default_registry() -> list[IdentitySpec]:
         ),
     ]
     return reg
+
+
+@cache
+def registry_by_id() -> dict[str, IdentitySpec]:
+    """``default_registry()`` keyed by id, built once per process; read-only."""
+    return {spec.id: spec for spec in default_registry()}
 
 
 def _pass_status(abs_residual: float, tol: float, lhs_err: float) -> str:

@@ -1,9 +1,19 @@
-"""CLI surface: subcommands, formats, exit codes, env override."""
+"""CLI surface: subcommands, formats, exit codes, env override, start-up."""
 
+import csv
+import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
+import pytest
+
+import etaint
 from etaint import cli, verify
+from etaint._backend import available_backends
 from etaint.errors import NonConvergenceError
 
 
@@ -143,6 +153,10 @@ class TestRun:
         statuses = {r["id"]: r["status"] for r in payload["records"]}
         assert statuses["A13"] == "pass"
         assert statuses["A10"] == "flagged"
+        suite = payload["suite"]
+        assert suite["version"] == etaint.__version__
+        assert suite["python"] == platform.python_version()
+        assert suite["totals"]["evals"] == sum(r["evals"] for r in payload["records"])
         # byte-identical re-serialization
         assert json.dumps(payload, indent=2) + "\n" == text
 
@@ -154,6 +168,22 @@ class TestRun:
         lines = out.strip().splitlines()
         assert lines[0].startswith("id,params,lhs,lhs_err,rhs")
         assert lines[1].startswith("A14,-,")
+        assert lines[0].endswith(",ms,cutoff,tail_method,note")
+
+    def test_csv_row_matches_json_record(self, capsys):
+        argv = ("eval", "--identity", "EQ8", "--param", "y=5", "--format")
+        _, out, _ = run_cli(capsys, *argv, "csv")
+        (row,) = csv.DictReader(io.StringIO(out))
+        _, out, _ = run_cli(capsys, *argv, "json")
+        (rec,) = json.loads(out)["records"]
+        assert list(row) == list(rec)
+        assert row["params"] == "y=5"
+        for key in ("id", "status", "tail_method", "note"):
+            assert row[key] == rec[key]
+        assert int(row["evals"]) == rec["evals"]
+        for key in ("lhs", "lhs_err", "rhs", "abs_residual", "rel_residual", "cutoff"):
+            assert float(row[key]) == rec[key]
+        assert "display" in row["note"]
 
     def test_tol_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "run", "--identity", "A14", "--tol", "1e-2")
@@ -229,3 +259,26 @@ class TestParameterNames:
         )
         assert code == cli.USAGE_ERROR
         assert "EQ7 takes parameters: s" in err
+
+
+_STARTUP_PROBE = (
+    "import sys, etaint.cli; print(etaint.backend_name(),"
+    " *sorted({'dataclasses', 'inspect', 'csv'} & sys.modules.keys()))"
+)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_import_leaves_dataclasses_inspect_and_csv_unloaded(backend):
+    if backend not in available_backends():
+        pytest.skip("compiled kernel core not built")
+    env = dict(os.environ)
+    env.pop("ETAINT_PURE", None)
+    if backend == "python":
+        env["ETAINT_PURE"] = "1"
+    src = os.path.dirname(os.path.dirname(etaint.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.split() == [backend]

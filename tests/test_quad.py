@@ -88,7 +88,7 @@ class TestEngineContracts:
     def test_determinism_bit_identical(self):
         a = integrate(KernelSpec("cos", 1, a=5.0), 1e-11)
         b = integrate(KernelSpec("cos", 1, a=5.0), 1e-11)
-        assert a == b  # dataclass equality is fieldwise and exact
+        assert a == b  # tuple equality is fieldwise and exact
 
     @pytest.mark.parametrize(
         "kernel",
@@ -236,6 +236,34 @@ class TestKernelSpecValidation:
     def test_nonfinite_parameter(self):
         with pytest.raises(DomainError):
             KernelSpec("exp", 3, a=math.nan)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("gaussian", 1, 0.0, 1.0),
+            ("exp", 2, 1.0, 1.0),
+            ("glaisher11", 1, 0.0, 1.0),
+            ("exp", 0, 1.0, 1.0),
+            ("exp", 3, -0.5, 1.0),
+            ("im_rsqrt", 3, 0.0, 1.0),
+            ("shifted_recip", 3, 1.0, 0.25),
+            ("exp", 3, math.nan, 1.0),
+            ("exp", 3, math.inf, 1.0),
+        ],
+    )
+    def test_make_and_replace_check_like_the_constructor(self, fields):
+        with pytest.raises(DomainError):
+            KernelSpec(*fields)
+        with pytest.raises(DomainError):
+            KernelSpec._make(fields)
+        with pytest.raises(DomainError):
+            KernelSpec("sech_aux", 0)._replace(**dict(zip(KernelSpec._fields, fields)))
+
+    def test_make_and_replace_return_kernel_specs(self):
+        k = KernelSpec._make(("cos", 3, 5.0, 1.0))
+        assert type(k) is KernelSpec and k == KernelSpec("cos", 3, a=5.0)
+        r = k._replace(form="sin")
+        assert type(r) is KernelSpec and r == KernelSpec("sin", 3, a=5.0)
 
 
 class TestMellinSymmetry:
