@@ -1,11 +1,10 @@
 """Build script: compiles the optional kernel core.
 
-The extension is built from the tracked `src/etaint/_ckernels.c`, which
-`cython -3` generates from `_ckernels.pyx`; building needs only a C
-compiler, not Cython.  The package is fully functional without the
-extension (a pure-Python twin of the hot kernels is selected at import
-time), so any failure to build `etaint._ckernels` is demoted to a
-warning.
+The extension is built from `src/etaint/_ckernels.c`, a hand-written C
+twin of `_pykernels.py`; building needs only a C compiler.  The package
+is fully functional without the extension (a pure-Python twin of the
+hot kernels is selected at import time), so any failure to build
+`etaint._ckernels` is demoted to a warning.
 """
 
 import os

@@ -1,8 +1,8 @@
 """etaint: the Dedekind eta function on the imaginary axis, its integrals,
 and a verification harness for their classical closed forms.
 
-The quadrature hot kernels run on a compiled Cython core when the
-extension is available and on a pure-Python twin otherwise; see
+The quadrature hot kernels run on a compiled C core when the extension
+is available and on a pure-Python twin otherwise; see
 ``etaint.backend_name()``.
 """
 

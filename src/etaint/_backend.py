@@ -1,8 +1,9 @@
 """Selects the quadrature kernel backend at import time.
 
-The compiled Cython core is preferred; the pure-Python twin is the
-fallback.  ETAINT_PURE=1 forces the fallback (useful for testing and
-benchmarking the two implementations against each other).
+The compiled core (the hand-written C module ``_ckernels``) is
+preferred; the pure-Python twin is the fallback.  ETAINT_PURE=1 forces
+the fallback (useful for testing and benchmarking the two
+implementations against each other).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ BACKEND = _impl.BACKEND_NAME
 
 eta_point = _impl.eta_point
 eta3_point = _impl.eta3_point
-kernel_weight = _impl.kernel_weight
-integrand = _impl.integrand
 panel = _impl.panel
 
 

@@ -2,10 +2,11 @@
 
 A row holds everything the engine knows about a form: its integer id
 (the compiled and pure-Python kernel twins both dispatch on these ids,
-so they must stay in sync with ``_ckernels.pyx``), whether it carries
-an eta factor, the domain of its parameters, the weight's own decay
-model, and for exp, cos and sin the weight's exact Laplace tail.  Adding
-a form takes one row here plus its weight code in each twin.
+so they must stay in sync with the ``form_id`` enum of ``_ckernels.c``),
+whether it carries an eta factor, the domain of its parameters, the
+weight's own decay model, and for exp, cos and sin the weight's exact
+Laplace tail.  Adding a form takes one row here plus its weight code in
+each twin.
 
 Weight definitions (p1, p2 are the slots of the primary and secondary
 parameter; u denotes the integration variable of the substituted

@@ -1,8 +1,8 @@
 """Pure-Python twin of the quadrature hot kernels.
 
 Selected by ``etaint._backend`` when the compiled extension is absent
-(or when ETAINT_PURE=1).  The arithmetic here mirrors ``_ckernels.pyx``
-operation for operation so the two backends agree to the last few ulp.
+(or when ETAINT_PURE=1).  The arithmetic here mirrors ``_ckernels.c``
+operation for operation so the two backends agree bit for bit.
 
 Exports: ``eta_point``, ``eta3_point`` (machine-precision eta powers for
 integrand use), ``kernel_weight``, ``integrand`` and ``panel`` (one

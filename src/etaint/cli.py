@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -76,6 +77,8 @@ def _parse_params(items: list[str]) -> tuple[dict[str, float], tuple | None]:
                 lo, hi, step = (float(p) for p in parts)
             except ValueError:
                 raise _CliError(f"range parameter must be numeric, got {value!r}")
+            if not all(math.isfinite(v) for v in (lo, hi, step)):
+                raise _CliError(f"--param {name}: range {value!r} needs finite lo, hi and step")
             if step <= 0 or hi < lo:
                 raise _CliError(f"range {value!r} needs hi >= lo and step > 0")
             if sweep is not None:
@@ -228,8 +231,11 @@ def exit_code_for_report(report: verify.VerificationReport) -> int:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"--output {output}: cannot write ({exc.strerror or exc})") from None
     else:
         sys.stdout.write(text)
 

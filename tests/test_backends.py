@@ -1,6 +1,13 @@
-"""Compiled vs pure-Python kernel twins must agree point for point."""
+"""Compiled vs pure-Python kernel twins must agree bit for bit."""
 
+import importlib.util
 import math
+import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
@@ -48,25 +55,36 @@ class TestTwins:
     def test_eta_points_match(self):
         py, cy = _BACKENDS["python"], _BACKENDS["compiled"]
         for x in XS:
-            assert py.eta_point(x) == pytest.approx(cy.eta_point(x), rel=5e-16, abs=0.0)
-            assert py.eta3_point(x) == pytest.approx(cy.eta3_point(x), rel=5e-16, abs=0.0)
+            assert py.eta_point(x) == cy.eta_point(x)
+            assert py.eta3_point(x) == cy.eta3_point(x)
 
     @pytest.mark.parametrize("form,n,p1,p2", CASES)
     def test_integrands_match(self, form, n, p1, p2):
         py, cy = _BACKENDS["python"], _BACKENDS["compiled"]
         for x in XS:
-            a = py.integrand(form, n, p1, p2, x)
-            b = cy.integrand(form, n, p1, p2, x)
-            assert a == pytest.approx(b, rel=1e-14, abs=1e-300)
+            assert py.integrand(form, n, p1, p2, x) == cy.integrand(form, n, p1, p2, x), x
+
+    def test_seeded_sweep_matches(self):
+        # Off-grid points catch rounding-order slips that the grid misses:
+        # regrouping c * (2n+1) * (2n+1) changes about 1 eta value in 4000.
+        py, cy = _BACKENDS["python"], _BACKENDS["compiled"]
+        rng = random.Random(20240)
+        for _ in range(20_000):
+            x = 10 ** rng.uniform(-2.0, 2.0)
+            assert py.eta_point(x) == cy.eta_point(x), x
+            assert py.eta3_point(x) == cy.eta3_point(x), x
+        for _ in range(2_000):
+            form, n, p1, p2 = rng.choice(CASES)
+            x = 10 ** rng.uniform(-6.0, 2.6)
+            args = (form, n, p1, p2, x, x * (1.0 + rng.random()))
+            assert py.integrand(*args[:5]) == cy.integrand(*args[:5]), args
+            assert py.panel(*args) == cy.panel(*args), args
 
     @pytest.mark.parametrize("form,n,p1,p2", CASES)
     def test_panels_match(self, form, n, p1, p2):
         py, cy = _BACKENDS["python"], _BACKENDS["compiled"]
         for a, b in [(0.0, 0.25), (1e-12, 0.25), (0.5, 1.0), (2.0, 4.0), (8.0, 16.0)]:
-            vp = py.panel(form, n, p1, p2, a, b)
-            vc = cy.panel(form, n, p1, p2, a, b)
-            for u, v in zip(vp, vc):
-                assert u == pytest.approx(v, rel=1e-13, abs=1e-300)
+            assert py.panel(form, n, p1, p2, a, b) == cy.panel(form, n, p1, p2, a, b), (a, b)
 
 
 def test_every_form_has_a_case_and_a_finite_pure_weight():
@@ -77,6 +95,45 @@ def test_every_form_has_a_case_and_a_finite_pure_weight():
         for _, _, p1, p2 in cases:
             for x in XS:
                 assert math.isfinite(py.kernel_weight(row.id, p1, p2, x)), (name, x)
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_unknown_form_id_raises(backend):
+    k = _BACKENDS[backend]
+    calls = [
+        lambda: k.kernel_weight(99, 1.0, 0.0, 0.5),
+        lambda: k.integrand(99, 1, 1.0, 0.0, 0.5),
+        lambda: k.panel(99, 1, 1.0, 0.0, 0.0, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown form id 99"):
+            call()
+
+
+def test_c_source_compiles_warning_free(tmp_path):
+    # Runs on a pure-only install too, so a C error cannot hide behind the
+    # skipped twin tests: build flags are the interpreter's own, plus -Werror.
+    cfg = sysconfig.get_config_var
+    cc = shlex.split(cfg("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("no C compiler")
+    source = Path(__file__).resolve().parents[1] / "src" / "etaint" / "_ckernels.c"
+    obj = tmp_path / "_ckernels.o"
+    target = tmp_path / ("_ckernels" + cfg("EXT_SUFFIX"))
+    include = "-I" + sysconfig.get_paths()["include"]
+    flags = shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED")) + ["-Werror", include]
+    for cmd in (
+        cc + flags + ["-c", str(source), "-o", str(obj)],
+        shlex.split(cfg("LDSHARED")) + [str(obj), "-o", str(target)],
+    ):
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("_ckernels", target)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert mod.BACKEND_NAME == "compiled"
+    args = (F.FORM_COS, 1, 5.0, 0.0, 0.1, 0.2)
+    assert mod.panel(*args) == _BACKENDS["python"].panel(*args)
 
 
 @needs_compiled

@@ -129,6 +129,13 @@ class TestTable:
         )
         assert code == cli.USAGE_ERROR
 
+    @pytest.mark.parametrize("value", ["0:inf:1", "nan:1:0.5", "1:2:inf"])
+    def test_non_finite_range_rejected(self, capsys, value):
+        # an infinite or NaN bound never ends the sweep loop
+        code, _, err = run_cli(capsys, "table", "--identity", "EQ7", "--param", f"s={value}")
+        assert code == cli.USAGE_ERROR
+        assert "--param s" in err and "finite" in err
+
 
 class TestRun:
     def test_subset_json_roundtrip(self, capsys, tmp_path):
@@ -220,6 +227,14 @@ class TestRun:
 
     def test_no_command_is_usage_error(self, capsys):
         assert cli.main([]) == cli.USAGE_ERROR
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "run", "--identity", "A7", "--output", str(target))
+        assert code == cli.USAGE_ERROR
+        assert out == ""
+        assert err.startswith("error: --output ") and err.count("\n") == 1
+        assert not target.exists()
 
 
 class TestExitCodeContract:
