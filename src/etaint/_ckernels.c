@@ -4,6 +4,12 @@
  * order and guards, operation for operation, so that the two backends
  * agree bit for bit (both sit on the same libm).  The form ids mirror
  * etaint._forms.  Building needs only a C compiler and the Python headers.
+ *
+ * The panel has two rules: cos/sin kernels on a panel with
+ * c = p1 (b - a)/2 > 14 use a Filon-Clenshaw-Curtis rule (eta^n at 15
+ * Chebyshev-Lobatto nodes, integrated against cos/sin exactly through
+ * Chebyshev moments; c > 14 keeps the moments' forward recurrence
+ * stable), every other panel is Gauss-Kronrod 7/15.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -48,6 +54,26 @@ static const double WGK[8] = {
 static const double WG[4] = {
     0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+};
+
+/* Filon panels: cos(i pi/14), i = 0..14, the Chebyshev-Lobatto nodes, and
+ * the Clenshaw-Curtis weights of nodes j and 14 - j on [-1, 1] (j = 0..7). */
+static const double FILON_C_MIN = 14.0;
+static const double CHEB[15] = {
+    1.0, 0.974927912181823607018131682993931217,
+    0.900968867902419126236102319507445051, 0.781831482468029808708444526674057750,
+    0.623489801858733530525004884004239811, 0.433883739117558120475768332848358755,
+    0.222520933956314404288902564496794759, 0.0,
+    -0.222520933956314404288902564496794759, -0.433883739117558120475768332848358755,
+    -0.623489801858733530525004884004239811, -0.781831482468029808708444526674057750,
+    -0.900968867902419126236102319507445051, -0.974927912181823607018131682993931217,
+    -1.0,
+};
+static const double WCC[8] = {
+    0.00512820512820512820512820512820512821, 0.0486993872950882385506451084909096498,
+    0.0978203916760521591285373486189925945, 0.139665078495604318031574925427921362,
+    0.175605789001066746765375946953466347, 0.202051467482383573636767327925673689,
+    0.218881511630573401798394396735233366, 0.224296338582052867767153481439195725,
 };
 
 /* exp(x^2) erfc(x) for x >= 0: direct product below 26, asymptotic beyond
@@ -237,7 +263,9 @@ static double kernel_weight(int form, double p1, double p2, double x)
     return NAN; /* unreachable: the callers reject unknown form ids */
 }
 
-static double integrand(int form, int n, double p1, double p2, double x)
+/* `inline` keeps GCC -O3 inlining this into panel's Gauss-Kronrod loop,
+ * which it stops doing once panel also holds the Filon branch. */
+static inline double integrand(int form, int n, double p1, double p2, double x)
 {
     double w = kernel_weight(form, p1, p2, x);
     if (n == 0 || w == 0.0)
@@ -247,12 +275,108 @@ static double integrand(int form, int n, double p1, double p2, double x)
     return w * eta3_point(x);
 }
 
-/* One Gauss-Kronrod 7/15 panel over [a, b]; see the Python twin. */
+/* int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) (k odd), k = 0..14, by
+ * forward recurrence (stable for c > 14). */
+static void moments(double c, double mu[15])
+{
+    double sc = sin(c), cc = cos(c);
+    mu[0] = 2.0 * sc / c;
+    mu[1] = 2.0 * (sc - c * cc) / (c * c);
+    mu[2] = 4.0 * (sc / c + 2.0 * cc / (c * c) - 2.0 * sc / (c * c * c)) - mu[0];
+    for (int k = 2; k < 14; k++) {
+        double ratio = (double)(k + 1) / (double)(k - 1);
+        if (k % 2 == 1)
+            mu[k + 1] = -4.0 * sc / (c * (k - 1)) - 2.0 * (k + 1) * mu[k] / c + ratio * mu[k - 1];
+        else
+            mu[k + 1] = 4.0 * cc / (c * (k - 1)) + 2.0 * (k + 1) * mu[k] / c + ratio * mu[k - 1];
+    }
+}
+
+/* Filon-Clenshaw-Curtis panel of cos/sin(p1 x) eta^n(ix), c = p1 hl; see
+ * _filon in the Python twin for the rule and its error estimate. */
+static void filon(int form, int n, double p1, double centr, double hl, double c,
+                  double out[3])
+{
+    double (*eta)(double) = n == 1 ? eta_point : eta3_point;
+    double ev[8], od[8], mu[15];
+    double fm = eta(centr);
+    ev[7] = fm;
+    od[7] = 0.0;
+    double resabs = WCC[7] * fabs(fm);
+    for (int j = 0; j < 7; j++) {
+        double dx = hl * CHEB[j];
+        double f1 = eta(centr + dx);
+        double f2 = eta(centr - dx);
+        ev[j] = f1 + f2;
+        od[j] = f1 - f2;
+        resabs += WCC[j] * (fabs(f1) + fabs(f2));
+    }
+    ev[0] *= 0.5;
+    od[0] *= 0.5;
+    moments(c, mu);
+    double q14e = 0.0, q14o = 0.0, q7e = 0.0, q7o = 0.0;
+    for (int k = 0; k < 15; k++) {
+        const double *v = k % 2 ? od : ev;
+        double s14 = v[0] * CHEB[0];
+        double s7 = s14;
+        for (int j = 1; j < 8; j++) {
+            int r = j * k % 28; /* cos(jk pi/14) = CHEB[r], folded into 0..14 */
+            double t = v[j] * CHEB[r <= 14 ? r : 28 - r];
+            s14 += t;
+            if (j % 2 == 0)
+                s7 += t;
+        }
+        if (k == 0 || k == 14)
+            s14 *= 0.5;
+        if (k == 0 || k == 7)
+            s7 *= 0.5;
+        if (k % 2) {
+            q14o += s14 * mu[k];
+            if (k <= 7)
+                q7o += s7 * mu[k];
+        } else {
+            q14e += s14 * mu[k];
+            if (k <= 7)
+                q7e += s7 * mu[k];
+        }
+    }
+    /* cos(p1 x) = wc cos(ct) - ws sin(ct), sin(p1 x) = ws cos(ct) + wc sin(ct). */
+    double wc = cos(p1 * centr), ws = sin(p1 * centr), fe, fo;
+    if (form == FORM_COS) {
+        fe = wc;
+        fo = -ws;
+    } else {
+        fe = ws;
+        fo = wc;
+    }
+    double scale = hl / 7.0; /* a_k = (2/14) s14 and b_k = (2/7) s7 */
+    double value = (fe * q14e + fo * q14o) * scale;
+    double err = (fabs(fe) * fabs(q14e - 2.0 * q7e) + fabs(fo) * fabs(q14o - 2.0 * q7o)) * fabs(scale);
+    resabs *= fabs(hl);
+    if (resabs > UFLOW_GUARD) {
+        double err_floor = 50.0 * DBL_EPSILON * resabs;
+        if (err_floor > err)
+            err = err_floor;
+    }
+    out[0] = value;
+    out[1] = err;
+    out[2] = resabs;
+}
+
+/* One quadrature panel over [a, b]: Filon for oscillating cos/sin, else
+ * Gauss-Kronrod 7/15; see the Python twin. */
 static void panel(int form, int n, double p1, double p2, double a, double b,
                   double out[3])
 {
     double centr = 0.5 * (a + b);
     double hl = 0.5 * (b - a);
+    if ((form == FORM_COS || form == FORM_SIN) && n != 0) {
+        double c = p1 * hl;
+        if (c > FILON_C_MIN) {
+            filon(form, n, p1, centr, hl, c, out);
+            return;
+        }
+    }
     double fc = integrand(form, n, p1, p2, centr);
     double resk = WGK[7] * fc;
     double resg = WG[3] * fc;
@@ -403,8 +527,9 @@ static PyMethodDef methods[] = {
      "integrand(form, n, p1, p2, x)\n\nf(x) * eta^n(ix) at a single abscissa."},
     {"panel", FASTCALL(py_panel),
      "panel(form, n, p1, p2, a, b)\n\n"
-     "One Gauss-Kronrod 7/15 panel over [a, b]: (integral, error estimate,\n"
-     "integral of |f|); see the Python twin."},
+     "One quadrature panel over [a, b] (Filon for oscillating cos/sin, else\n"
+     "Gauss-Kronrod 7/15): (integral, error estimate, integral of |f|); see\n"
+     "the Python twin."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -6,7 +6,16 @@ operation for operation so the two backends agree bit for bit.
 
 Exports: ``eta_point``, ``eta3_point`` (machine-precision eta powers for
 integrand use), ``kernel_weight``, ``integrand`` and ``panel`` (one
-Gauss-Kronrod 7/15 panel of integrand evaluations).
+quadrature panel: 15 evaluations of the integrand or of its eta factor).
+
+``panel`` has two rules.  The cos and sin kernels on a panel with
+c = p1 (b - a)/2 > 14 (more than 14/pi, about 4.5, periods), use a
+Filon-Clenshaw-Curtis rule: eta^n is interpolated at 15 Chebyshev-Lobatto
+nodes and the interpolant is integrated against cos/sin exactly through
+Chebyshev moments (the rule of QUADPACK's qawo), so the panel count
+follows eta, not the oscillation.  Every other panel is Gauss-Kronrod
+7/15.  c > 14 keeps the moments' forward recurrence stable: it needs c
+above the top degree.
 """
 
 from __future__ import annotations
@@ -50,6 +59,41 @@ _WG = (
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
+)
+
+# Filon panels: cos(i pi/14), i = 0..14, the Chebyshev-Lobatto nodes; the
+# Clenshaw-Curtis weights of nodes j and 14 - j on [-1, 1] (j = 0..7); and
+# the cosine of node j times degree k, cos(jk pi/14), for the DCT-I.
+_FILON_C_MIN = 14.0
+_CHEB = (
+    1.0,
+    0.974927912181823607018131682993931217,
+    0.900968867902419126236102319507445051,
+    0.781831482468029808708444526674057750,
+    0.623489801858733530525004884004239811,
+    0.433883739117558120475768332848358755,
+    0.222520933956314404288902564496794759,
+    0.0,
+    -0.222520933956314404288902564496794759,
+    -0.433883739117558120475768332848358755,
+    -0.623489801858733530525004884004239811,
+    -0.781831482468029808708444526674057750,
+    -0.900968867902419126236102319507445051,
+    -0.974927912181823607018131682993931217,
+    -1.0,
+)
+_WCC = (
+    0.00512820512820512820512820512820512821,
+    0.0486993872950882385506451084909096498,
+    0.0978203916760521591285373486189925945,
+    0.139665078495604318031574925427921362,
+    0.175605789001066746765375946953466347,
+    0.202051467482383573636767327925673689,
+    0.218881511630573401798394396735233366,
+    0.224296338582052867767153481439195725,
+)
+_DCT = tuple(
+    tuple(_CHEB[min(j * k % 28, 28 - j * k % 28)] for j in range(8)) for k in range(15)
 )
 
 
@@ -205,17 +249,125 @@ def integrand(form: int, n: int, p1: float, p2: float, x: float) -> float:
     return w * eta3_point(x)
 
 
+def _moments(c: float) -> list[float]:
+    """int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) (k odd), k = 0..14.
+
+    Forward recurrence, stable for c > 14 (above the top degree).
+    """
+    sc = sin(c)
+    cc = cos(c)
+    mu = [0.0] * 15
+    mu[0] = 2.0 * sc / c
+    mu[1] = 2.0 * (sc - c * cc) / (c * c)
+    mu[2] = 4.0 * (sc / c + 2.0 * cc / (c * c) - 2.0 * sc / (c * c * c)) - mu[0]
+    for k in range(2, 14):
+        if k % 2 == 1:
+            mu[k + 1] = (
+                -4.0 * sc / (c * (k - 1))
+                - 2.0 * (k + 1) * mu[k] / c
+                + (k + 1) / (k - 1) * mu[k - 1]
+            )
+        else:
+            mu[k + 1] = (
+                4.0 * cc / (c * (k - 1))
+                + 2.0 * (k + 1) * mu[k] / c
+                + (k + 1) / (k - 1) * mu[k - 1]
+            )
+    return mu
+
+
+def _filon(
+    form: int, n: int, p1: float, centr: float, hl: float, c: float
+) -> tuple[float, float, float]:
+    """Filon-Clenshaw-Curtis panel of cos/sin(p1 x) eta^n(ix), c = p1 hl.
+
+    With x = centr + hl t, the eta factor g(t) is interpolated at the 15
+    nodes t_j = cos(j pi/14) as sum_k a_k T_k(t) (a DCT-I of the samples,
+    split into the even and odd parts of g), and
+    cos(p1 x) = cos(p1 centr) cos(ct) - sin(p1 centr) sin(ct), so the
+    panel is hl [cos(p1 centr) sum_even a_k mu_k - sin(p1 centr) sum_odd
+    a_k mu_k] (sin: hl [sin(p1 centr) sum_even + cos(p1 centr) sum_odd]).
+    Q7 is the same rule on the 8 even nodes.  As in QUADPACK's qc25f the
+    error is |cos(p1 centr)| |even part of Q14 - Q7| + |sin(p1 centr)|
+    |odd part|: the bare |Q14 - Q7| can cancel between the two parts and
+    understates the error where eta^n is poorly resolved (the panel at 0).
+    The Gauss-Kronrod rule's 50 eps floor applies to resabs = hl sum W_j
+    |g_j| with the Clenshaw-Curtis weights W_j.
+    """
+    eta = eta_point if n == 1 else eta3_point
+    ev = [0.0] * 8
+    od = [0.0] * 8
+    fm = eta(centr)
+    ev[7] = fm
+    resabs = _WCC[7] * abs(fm)
+    for j in range(7):
+        dx = hl * _CHEB[j]
+        f1 = eta(centr + dx)
+        f2 = eta(centr - dx)
+        ev[j] = f1 + f2
+        od[j] = f1 - f2
+        resabs += _WCC[j] * (abs(f1) + abs(f2))
+    ev[0] *= 0.5
+    od[0] *= 0.5
+    mu = _moments(c)
+    # s14 = sum_j v_j cos(jk pi/14) and s7 = the same over even j, in the
+    # order of the C twin's loop.
+    q14e = q14o = q7e = q7o = 0.0
+    for k, row in enumerate(_DCT):
+        v = od if k % 2 else ev
+        t0 = v[0] * row[0]
+        t2 = v[2] * row[2]
+        t4 = v[4] * row[4]
+        t6 = v[6] * row[6]
+        s14 = t0 + v[1] * row[1] + t2 + v[3] * row[3] + t4 + v[5] * row[5] + t6 + v[7] * row[7]
+        s7 = t0 + t2 + t4 + t6
+        if k == 0 or k == 14:
+            s14 *= 0.5
+        if k == 0 or k == 7:
+            s7 *= 0.5
+        if k % 2:
+            q14o += s14 * mu[k]
+            if k <= 7:
+                q7o += s7 * mu[k]
+        else:
+            q14e += s14 * mu[k]
+            if k <= 7:
+                q7e += s7 * mu[k]
+    # cos(p1 x) = wc cos(ct) - ws sin(ct), sin(p1 x) = ws cos(ct) + wc sin(ct).
+    wc = cos(p1 * centr)
+    ws = sin(p1 * centr)
+    if form == F.FORM_COS:
+        fe = wc
+        fo = -ws
+    else:
+        fe = ws
+        fo = wc
+    scale = hl / 7.0  # a_k = (2/14) s14 and b_k = (2/7) s7
+    value = (fe * q14e + fo * q14o) * scale
+    err = (abs(fe) * abs(q14e - 2.0 * q7e) + abs(fo) * abs(q14o - 2.0 * q7o)) * abs(scale)
+    resabs *= abs(hl)
+    if resabs > _UFLOW_GUARD:
+        floor = 50.0 * _EPS * resabs
+        if floor > err:
+            err = floor
+    return value, err, resabs
+
+
 def panel(
     form: int, n: int, p1: float, p2: float, a: float, b: float
 ) -> tuple[float, float, float]:
-    """One Gauss-Kronrod 7/15 panel over [a, b].
+    """One quadrature panel over [a, b]: Filon for oscillating cos/sin, else GK15.
 
-    Returns (integral, error estimate, integral of |f|); 15 integrand
-    evaluations.  Error model as in classic QUADPACK: the |K15-G7|
+    Returns (integral, error estimate, integral of |f|); 15 evaluations.
+    Gauss-Kronrod error model as in classic QUADPACK: the |K15-G7|
     difference is sharpened through the scaled deviation integral.
     """
     centr = 0.5 * (a + b)
     hl = 0.5 * (b - a)
+    if (form == F.FORM_COS or form == F.FORM_SIN) and n != 0:
+        c = p1 * hl
+        if c > _FILON_C_MIN:
+            return _filon(form, n, p1, centr, hl, c)
     fc = integrand(form, n, p1, p2, centr)
     resk = _WGK[7] * fc
     resg = _WG[3] * fc

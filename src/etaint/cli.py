@@ -30,6 +30,7 @@ __all__ = ["main", "build_report_payload", "exit_code_for_report"]
 
 _TOL_MIN = 1e-12
 _TOL_MAX = 1e-3
+_MAX_SWEEP_POINTS = 10_000
 
 USAGE_ERROR = 2
 
@@ -81,6 +82,12 @@ def _parse_params(items: list[str]) -> tuple[dict[str, float], tuple | None]:
                 raise _CliError(f"--param {name}: range {value!r} needs finite lo, hi and step")
             if step <= 0 or hi < lo:
                 raise _CliError(f"range {value!r} needs hi >= lo and step > 0")
+            # _sweep_values takes lo + k step for k < (hi - lo)/step + 1/2.
+            if (hi - lo) / step > _MAX_SWEEP_POINTS - 0.5:
+                raise _CliError(
+                    f"--param {name}: range {value!r} has more than"
+                    f" {_MAX_SWEEP_POINTS} points"
+                )
             if sweep is not None:
                 raise _CliError("only one range parameter is allowed")
             sweep = (name, lo, hi, step)

@@ -86,8 +86,13 @@ def laplace_eta(t: float) -> float:
 
 
 def _laplace_eta_complex(t: complex) -> complex:
-    su = cmath.sqrt(pi * t / 3.0)
-    return cmath.sqrt(pi / t) * cmath.sinh(2.0 * su) / cmath.cosh(cmath.sqrt(3.0 * pi * t))
+    u = 2.0 * cmath.sqrt(pi * t / 3.0)
+    v = cmath.sqrt(3.0 * pi * t)
+    if v.real > 350.0:
+        # sinh(u)/cosh(v) in overflow-safe exponential form (Re u, Re v > 0)
+        ratio = cmath.exp(u - v) * (1.0 - cmath.exp(-2.0 * u)) / (1.0 + cmath.exp(-2.0 * v))
+        return cmath.sqrt(pi / t) * ratio
+    return cmath.sqrt(pi / t) * cmath.sinh(u) / cmath.cosh(v)
 
 
 def mellin_eta(s: float) -> float:
@@ -201,6 +206,11 @@ def fourier_cos_eta3(y: float) -> float:
     if y < 0.0:
         raise DomainError(f"A11 requires y >= 0, got {y}")
     v = sqrt(pi * y / 2.0)
+    if v > 350.0:
+        # divided through by e^{2v}/4, with E = e^{-2v}: nothing overflows
+        big_e = exp(-2.0 * v)
+        den = (1.0 - big_e) ** 2 + 4.0 * big_e * cos(v) ** 2
+        return 2.0 * exp(-v) * (1.0 + big_e) * cos(v) / den
     return cosh(v) * cos(v) / (sinh(v) ** 2 + cos(v) ** 2)
 
 
@@ -210,6 +220,11 @@ def fourier_sin_eta3(y: float) -> float:
     if y < 0.0:
         raise DomainError(f"A12 requires y >= 0, got {y}")
     v = sqrt(pi * y / 2.0)
+    if v > 350.0:
+        # as in fourier_cos_eta3, with sinh v = e^v (1 - E)/2
+        big_e = exp(-2.0 * v)
+        den = (1.0 - big_e) ** 2 + 4.0 * big_e * cos(v) ** 2
+        return 2.0 * exp(-v) * (1.0 - big_e) * sin(v) / den
     return sinh(v) * sin(v) / (sinh(v) ** 2 + cos(v) ** 2)
 
 

@@ -1,8 +1,15 @@
 """Adaptive quadrature over [0, inf) for weights times eta powers.
 
-Strategy: adaptively bisect [lo, X] with a nested Gauss-Kronrod 7/15
-panel rule (worst-panel-first) and account for [X, inf) by one of three
-tail methods (``QuadResult.tail_method``):
+Strategy: adaptively bisect [lo, X] (worst panel first) with the
+backend's 15-evaluation panel and account for [X, inf) by one of three
+tail methods (``QuadResult.tail_method``).  The panel rule is nested
+Gauss-Kronrod 7/15, except for the cos and sin weights on a panel with
+c = a (b - a)/2 > 14: there a Filon-Clenshaw-Curtis rule samples
+eta^n(ix) at 15 Chebyshev-Lobatto nodes and integrates cos/sin(a x)
+against its interpolant exactly through Chebyshev moments (QUADPACK's
+qawo), so the panel count follows eta rather than the oscillation and
+does not grow with a.  The switch sits in the kernel twins; this driver
+sees one panel function.  Tail methods:
 
 * ``series-correction`` -- the exp, cos and sin weights (the forms with
   a ``laplace_tail``).  X = 1, the point where the kernels switch from
@@ -258,7 +265,15 @@ def _lower_mass_bound(k: KernelSpec, m: float, amp: float, lo: float) -> float:
     e = (1.0 + m - 0.5 * k.n) * log(lo) - k.n * pi / (12.0 * lo)
     if e < -745.0:
         return 0.0
-    return amp * exp(e)
+    # An infinite bound would be an infinite err_est, which the pass rule
+    # |residual| <= 10 err_est would accept.
+    bound = amp * exp(e) if e < 709.0 else math.inf
+    if bound == math.inf:
+        raise DomainError(
+            f"kernel parameter a={k.a:g} of form {k.form!r} is too large:"
+            f" the mass below x={lo:g} cannot be bounded in double precision"
+        )
+    return bound
 
 
 def _check_tol(tol: float, floor: float) -> float:
@@ -311,10 +326,11 @@ def integrate(
             if not (math.isfinite(hi) and hi > lo):
                 raise DomainError(f"cutoff must exceed the lower limit, got {cutoff!r}")
             tail = _tail_integral_bound(rate, m, amp, hi)
+    # Before any panel: a parameter whose clipped mass overflows is rejected.
+    mass = _lower_mass_bound(kernel, m, amp, lo) if lo > 0.0 else 0.0
     value, perr, evals = _adaptive(
         kernel.form_id, kernel.n, kernel.a, kernel.p, lo, hi, 0.5 * tol, max_evals
     )
-    mass = _lower_mass_bound(kernel, m, amp, lo) if lo > 0.0 else 0.0
     return QuadResult(
         value=value + tail_value,
         err_est=perr + tail + mass,

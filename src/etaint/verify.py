@@ -418,6 +418,9 @@ def verify_identity(
             res = quad.integrate(spec.kernel(params), quad_tol)
         lhs = spec.lhs_scale * res.value
         lhs_err = spec.lhs_scale * res.err_est
+    except DomainError as exc:
+        point = ", ".join(f"{k}={v:g}" for k, v in params.items())
+        raise DomainError(f"{spec.id} at {point}: {exc}") from None
     except NonConvergenceError as exc:
         ms = 1e3 * (time.perf_counter() - t0)
         return IdentityRecord(

@@ -92,3 +92,25 @@ def eta_transform_series_oracle(weight, y: float, max_blocks: int = 400_000) -> 
         if abs(block) < 1e-16 and n > 600:
             return total
     raise AssertionError("eta transform series oracle did not converge")
+
+
+def fourier_rhs_mp(ident: str, y: float) -> float:
+    """EQ8/EQ10/A11/A12 right-hand sides at 30 digits (mpmath), y > 0.
+
+    The same closed expressions as ``closed_forms``, free of overflow:
+    EQ8/EQ10 are Re / -Im of sqrt(pi/t) sinh(2 sqrt(pi t/3))/cosh(sqrt(3 pi t))
+    at t = iy, A11/A12 are cosh(v) cos(v) resp. sinh(v) sin(v) over
+    sinh^2 v + cos^2 v with v = sqrt(pi y/2).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        y = mpmath.mpf(y)
+        pi = mpmath.pi
+        if ident in ("EQ8", "EQ10"):
+            t = mpmath.mpc(0, y)
+            v = (mpmath.sqrt(pi / t) * mpmath.sinh(2 * mpmath.sqrt(pi * t / 3))
+                 / mpmath.cosh(mpmath.sqrt(3 * pi * t)))
+            return float(v.real if ident == "EQ8" else -v.imag)
+        v = mpmath.sqrt(pi * y / 2)
+        num = mpmath.cosh(v) * mpmath.cos(v) if ident == "A11" else mpmath.sinh(v) * mpmath.sin(v)
+        return float(num / (mpmath.sinh(v) ** 2 + mpmath.cos(v) ** 2))

@@ -79,6 +79,17 @@ class TestTwins:
             args = (form, n, p1, p2, x, x * (1.0 + rng.random()))
             assert py.integrand(*args[:5]) == cy.integrand(*args[:5]), args
             assert py.panel(*args) == cy.panel(*args), args
+        # cos/sin panels on both sides of the Filon switch c = p1 (b - a)/2 > 14.
+        filon = 0
+        for _ in range(2_000):
+            form = rng.choice((F.FORM_COS, F.FORM_SIN))
+            n = rng.choice((1, 3))
+            p1 = 10 ** rng.uniform(0.0, 6.0)
+            a = 10 ** rng.uniform(-12.0, 0.0)
+            args = (form, n, p1, 0.0, a, a + 10 ** rng.uniform(-4.0, 0.0))
+            filon += p1 * 0.5 * (args[5] - a) > 14.0
+            assert py.panel(*args) == cy.panel(*args), args
+        assert 500 < filon < 1_500
 
     @pytest.mark.parametrize("form,n,p1,p2", CASES)
     def test_panels_match(self, form, n, p1, p2):

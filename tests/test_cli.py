@@ -65,6 +65,23 @@ class TestEval:
         assert "unknown identity" in err
 
 
+class TestParameterEdges:
+    def test_eq8_at_y_20000_passes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--identity", "EQ8", "--param", "y=20000", "--format", "json"
+        )
+        assert code == 0
+        (record,) = json.loads(out)["records"]
+        assert record["status"] == "pass" and record["evals"] <= 1_500
+
+    @pytest.mark.parametrize("ident,param", [("EQ7", "s"), ("A3", "nu")])
+    def test_huge_parameter_is_usage_error(self, capsys, ident, param):
+        # the mass clipped below x = 1e-12 overflows: one line, exit 2
+        code, out, err = run_cli(capsys, "eval", "--identity", ident, "--param", f"{param}=1e300")
+        assert code == cli.USAGE_ERROR and out == ""
+        assert err.startswith(f"error: {ident} at {param}=1e+300:") and err.count("\n") == 1
+
+
 class TestRecordDiagnostics:
     def test_json_record_carries_tail_method_cutoff_and_note(self, capsys):
         code, out, _ = run_cli(
@@ -128,6 +145,23 @@ class TestTable:
             capsys, "table", "--identity", "EQ7", "--param", "s=2.0:1.0:0.25"
         )
         assert code == cli.USAGE_ERROR
+
+    def test_sweep_of_more_than_10000_points_rejected(self):
+        # 1e18 points: counted before any is built, so this exits at once
+        proc = subprocess.run(
+            [sys.executable, "-m", "etaint.cli", "table", "--identity", "EQ5",
+             "--param", "t=1:1e9:1e-9"],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.USAGE_ERROR
+        assert proc.stderr.startswith("error: --param t:") and "10000 points" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_sweep_cap_is_exact(self):
+        _, sweep = cli._parse_params(["t=0:9999:1"])
+        assert len(cli._sweep_values(*sweep[1:])) == 10_000
+        with pytest.raises(cli._CliError, match="--param t"):
+            cli._parse_params(["t=0:10000:1"])
 
     @pytest.mark.parametrize("value", ["0:inf:1", "nan:1:0.5", "1:2:inf"])
     def test_non_finite_range_rejected(self, capsys, value):
@@ -282,18 +316,24 @@ _STARTUP_PROBE = (
 )
 
 
+def _subprocess_env(pure: bool = False) -> dict:
+    """The environment for a child interpreter that imports this etaint."""
+    env = dict(os.environ)
+    env.pop("ETAINT_PURE", None)
+    if pure:
+        env["ETAINT_PURE"] = "1"
+    src = os.path.dirname(os.path.dirname(etaint.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("backend", ["compiled", "python"])
 def test_import_leaves_dataclasses_inspect_and_csv_unloaded(backend):
     if backend not in available_backends():
         pytest.skip("compiled kernel core not built")
-    env = dict(os.environ)
-    env.pop("ETAINT_PURE", None)
-    if backend == "python":
-        env["ETAINT_PURE"] = "1"
-    src = os.path.dirname(os.path.dirname(etaint.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        env=_subprocess_env(pure=backend == "python"),
+        capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.split() == [backend]

@@ -9,7 +9,7 @@ from etaint import closed_forms as cf
 from etaint import specfun
 from etaint.errors import DomainError
 
-from conftest import eta_transform_series_oracle
+from conftest import eta_transform_series_oracle, fourier_rhs_mp
 
 TWO_PI_OVER_SQRT3 = 2.0 * math.pi / math.sqrt(3.0)
 
@@ -113,6 +113,28 @@ class TestFourierEta:
             cf.fourier_cos_eta(-1.0)
         with pytest.raises(DomainError):
             cf.fourier_sin_eta(-1.0)
+
+
+_FOURIER_FORMS = {
+    "EQ8": cf.fourier_cos_eta,
+    "EQ10": cf.fourier_sin_eta,
+    "A11": cf.fourier_cos_eta3,
+    "A12": cf.fourier_sin_eta3,
+}
+
+
+class TestFourierLargeY:
+    """Beyond y ~ 8e4 the hyperbolic factors overflow a double; the closed
+    forms switch to an e^{-v}-scaled expression there (at y = 1e5 A11 and
+    A12 are ~1e-172, at 1e6 they underflow to 0)."""
+
+    @pytest.mark.parametrize("y", [2e4, 5e4, 1e5, 1e6])
+    @pytest.mark.parametrize("ident", sorted(_FOURIER_FORMS))
+    def test_matches_mpmath(self, ident, y):
+        got = _FOURIER_FORMS[ident](y)
+        want = fourier_rhs_mp(ident, y)
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-11 * abs(want) + 1e-320, (got, want)
 
 
 class TestLaplaceEta3:

@@ -1,10 +1,12 @@
 """Quadrature engine: constant integrals, tails, determinism, budgets."""
 
 import math
+import random
 
 import pytest
 
-from etaint import closed_forms, specfun
+from etaint import _backend, _pykernels, closed_forms, specfun
+from etaint import _forms as F
 from etaint._forms import FORMS
 from etaint.errors import DomainError, NonConvergenceError
 from etaint.quad import (
@@ -202,6 +204,113 @@ class TestSeriesCorrectionTail:
         assert r.tail_method == "series-correction"
         ref = eta_transform_series_oracle(lambda lam, y: lam / (lam * lam + y * y), 5.0)
         assert abs(r.value - ref) <= 1e-10
+
+
+_EPS = 2.220446049250313e-16
+
+
+def _mp_moments(c: float) -> list[float]:
+    """int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) dt (k odd), k = 0..14.
+
+    mpmath at 60 digits: T_k expanded in powers of t, and
+    I_p = int_{-1}^{1} t^p e^{ict} dt integrated by parts exactly.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        ic = mpmath.mpc(0, c)
+        e_plus, e_minus = mpmath.exp(ic), mpmath.exp(-ic)
+        powers = [(e_plus - e_minus) / ic]
+        for p in range(1, 15):
+            powers.append((e_plus - (-1) ** p * e_minus - p * powers[-1]) / ic)
+        cheb = [[1], [0, 1]]  # integer coefficients of T_k
+        while len(cheb) < 15:
+            nxt = [0] + [2 * x for x in cheb[-1]]
+            for i, x in enumerate(cheb[-2]):
+                nxt[i] -= x
+            cheb.append(nxt)
+        out = []
+        for k, coeffs in enumerate(cheb):
+            v = sum((x * powers[p] for p, x in enumerate(coeffs)), mpmath.mpc(0))
+            out.append(float(v.real if k % 2 == 0 else v.imag))
+        return out
+
+
+def _mp_panel(form: int, n: int, y: float, a: float, b: float) -> float:
+    """int_a^b w(yx) eta^n(ix) dx for w = cos or sin, 0 <= a < b <= 1, by mpmath.
+
+    The direct q-series of eta^n (eta: sum chi_12(m) e^{-pi m^2 x/12};
+    eta^3: sum (-1)^k (2k+1) e^{-pi (2k+1)^2 x/4}) is integrated term by
+    term in closed form at 40 digits.  Below x = 1 the kernels evaluate eta
+    through the modular transform instead, so the two do not share a path.
+    Below x = 0.004 eta^n(ix) < 1e-27 and that piece is dropped (< 1e-29).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lo, b, y = max(mpmath.mpf(a), mpmath.mpf("0.004")), mpmath.mpf(b), mpmath.mpf(y)
+        if lo >= b:
+            return 0.0
+        if n == 1:
+            terms = [(1 if m % 12 in (1, 11) else -1, mpmath.pi * m * m / 12)
+                     for m in range(1, 400) if m % 12 in (1, 5, 7, 11)]
+        else:
+            terms = [((-1) ** k * (2 * k + 1), mpmath.pi * (2 * k + 1) ** 2 / 4)
+                     for k in range(120)]
+
+        def primitive(x, lam):
+            e = mpmath.exp(-lam * x) / (lam * lam + y * y)
+            if form == F.FORM_COS:
+                return e * (y * mpmath.sin(y * x) - lam * mpmath.cos(y * x))
+            return -e * (lam * mpmath.sin(y * x) + y * mpmath.cos(y * x))
+
+        total = mpmath.mpf(0)
+        for coef, lam in terms:
+            if lam * lo > 100:  # e^{-100}: the rest is below 1e-40
+                break
+            total += coef * (primitive(b, lam) - primitive(lo, lam))
+        return float(total)
+
+
+class TestFilonPanel:
+    """cos/sin panels with c = p1 (b - a)/2 > 14 use the Filon-Clenshaw-Curtis
+    rule: 15 eta samples, the oscillation integrated exactly by moments."""
+
+    @pytest.mark.parametrize(
+        "c", [14.000001, 14.5, 17.96, 20.0, 31.4159, 100.0, 1e3, 12345.678, 1e5, 1e6]
+    )
+    def test_moments_match_mpmath(self, c):
+        got = _pykernels._moments(c)
+        want = _mp_moments(c)
+        for k in range(15):
+            # the moments are O(1/c); the recurrence keeps 100 eps of that
+            assert abs(got[k] - want[k]) <= 100.0 * _EPS / c, (k, got[k], want[k])
+
+    def test_err_est_bounds_the_true_error(self):
+        # The engine's panels: [1e-12, 2^-l] and dyadic pieces of [0, 1].
+        # Besides err_est, allow for the rounding of the weight's argument
+        # p1 x itself (eps p1 b times the mass) and the reference's 1e-29.
+        rng = random.Random(7)
+        checked = 0
+        while checked < 120:
+            form = rng.choice((F.FORM_COS, F.FORM_SIN))
+            n = rng.choice((1, 3))
+            y = 10 ** rng.uniform(1.5, 6.0)
+            level = rng.randint(2, 12)
+            j = 0 if rng.random() < 0.2 else rng.randrange(2**level)
+            a, b = max(j / 2**level, 1e-12), (j + 1) / 2**level
+            if y * 0.5 * (b - a) <= 14.0:
+                continue
+            checked += 1
+            value, err, resabs = _backend.panel(form, n, y, 0.0, a, b)
+            true_err = abs(value - _mp_panel(form, n, y, a, b))
+            assert true_err <= err + _EPS * y * b * resabs + 1e-29, (form, n, y, a, b)
+
+    @pytest.mark.parametrize("form", [F.FORM_COS, F.FORM_SIN])
+    def test_fifteen_samples_resolve_any_frequency(self, form):
+        # c = 25,000: Gauss-Kronrod would need thousands of panels here,
+        # while this one panel's estimate sits at its 50 eps rounding floor
+        value, err, resabs = _backend.panel(form, 1, 1e5, 0.0, 0.5, 1.0)
+        assert err == 50.0 * _EPS * resabs
+        assert abs(value - _mp_panel(form, 1, 1e5, 0.5, 1.0)) <= err
 
 
 class TestKernelSpecValidation:
