@@ -24,6 +24,7 @@ BACKEND = _impl.BACKEND_NAME
 
 eta_point = _impl.eta_point
 eta3_point = _impl.eta3_point
+kernel_weight = _impl.kernel_weight
 panel = _impl.panel
 
 

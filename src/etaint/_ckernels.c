@@ -10,6 +10,20 @@
  * Chebyshev-Lobatto nodes, integrated against cos/sin exactly through
  * Chebyshev moments; c > 14 keeps the moments' forward recurrence
  * stable), every other panel is Gauss-Kronrod 7/15.
+ *
+ * Panels recur: the adaptive quadrature of every record starts from the
+ * same breakpoints (1e-12 or 0, then 0.25, 0.5, 1, 2, ...) and bisects at
+ * midpoints, so the records of one process keep forming the same panels
+ * [a, b], and eta^n at a panel's 15 nodes does not depend on the weight.
+ * `panel` keeps those node values in a static direct-mapped table of
+ * MEMO_SIZE = 1024 panels (about 150 KB), keyed by n, the rule (GK15 and
+ * Filon nodes differ) and the exact doubles a and b; a colliding panel
+ * replaces the slot's entry.  On a hit only the weight is evaluated.
+ * Panels with n = 0 (the auxiliary integrands, right-hand sides among
+ * them) bypass the table, so no right-hand side reads a value computed
+ * for a left-hand side.  Sums run in the same order either way, so a hit
+ * and a miss give the same result to the bit.  The table is touched only
+ * with the GIL held.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -19,6 +33,7 @@
 #include <limits.h>
 #include <math.h>
 #include <stdarg.h>
+#include <stdint.h>
 #include <string.h>
 
 enum form_id {
@@ -75,6 +90,26 @@ static const double WCC[8] = {
     0.175605789001066746765375946953466347, 0.202051467482383573636767327925673689,
     0.218881511630573401798394396735233366, 0.224296338582052867767153481439195725,
 };
+
+/* The panel rules, as memo keys, and their node tables t: both rules
+ * sample eta^n at centr + hl t_j and centr - hl t_j (j = 0..6) and at centr. */
+enum rule_id { RULE_GK15 = 0, RULE_FILON = 1 };
+static const double *const NODES[2] = {XGK, CHEB};
+
+#define MEMO_SIZE 1024 /* a power of two */
+
+/* kind = 2 n + rule keys n and the rule at once; an empty slot has
+ * kind == 0, which no lookup asks for (n != 0). */
+struct memo_entry {
+    double a, b;
+    long long kind;
+    double g[15];
+};
+static struct memo_entry memo[MEMO_SIZE];
+
+/* Stands in for the node values of an n = 0 panel: w * 1.0 == w. */
+static const double ONES[15] = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                                1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
 
 /* exp(x^2) erfc(x) for x >= 0: direct product below 26, asymptotic beyond
  * (specfun.erfc_scaled). */
@@ -173,6 +208,36 @@ static double eta3_point(double x)
     return eta3_series(x);
 }
 
+/* eta^n at the panel's 15 nodes: [j] at centr + hl t_j, [14 - j] at
+ * centr - hl t_j (j < 7) and [7] at centr, from the memo when [a, b] was
+ * seen before; n != 0. */
+static const double *eta_nodes(int n, int rule, double a, double b, double centr, double hl)
+{
+    long long kind = 2LL * n + rule;
+    uint64_t ua, ub;
+    memcpy(&ua, &a, sizeof ua);
+    memcpy(&ub, &b, sizeof ub);
+    uint64_t h = (ua ^ (ub * 0x9E3779B97F4A7C15u)) + (uint64_t)kind;
+    h ^= h >> 31;
+    h *= 0xBF58476D1CE4E5B9u;
+    h ^= h >> 29;
+    struct memo_entry *e = &memo[h & (MEMO_SIZE - 1)];
+    if (e->kind == kind && e->a == a && e->b == b)
+        return e->g;
+    double (*eta)(double) = n == 1 ? eta_point : eta3_point;
+    const double *t = NODES[rule];
+    e->g[7] = eta(centr);
+    for (int j = 0; j < 7; j++) {
+        double dx = hl * t[j];
+        e->g[j] = eta(centr + dx);
+        e->g[14 - j] = eta(centr - dx);
+    }
+    e->a = a;
+    e->b = b;
+    e->kind = kind;
+    return e->g;
+}
+
 static double sech(double x)
 {
     if (x > 350.0)
@@ -263,9 +328,7 @@ static double kernel_weight(int form, double p1, double p2, double x)
     return NAN; /* unreachable: the callers reject unknown form ids */
 }
 
-/* `inline` keeps GCC -O3 inlining this into panel's Gauss-Kronrod loop,
- * which it stops doing once panel also holds the Filon branch. */
-static inline double integrand(int form, int n, double p1, double p2, double x)
+static double integrand(int form, int n, double p1, double p2, double x)
 {
     double w = kernel_weight(form, p1, p2, x);
     if (n == 0 || w == 0.0)
@@ -294,19 +357,17 @@ static void moments(double c, double mu[15])
 
 /* Filon-Clenshaw-Curtis panel of cos/sin(p1 x) eta^n(ix), c = p1 hl; see
  * _filon in the Python twin for the rule and its error estimate. */
-static void filon(int form, int n, double p1, double centr, double hl, double c,
-                  double out[3])
+static void filon(int form, double p1, double centr, double hl, double c,
+                  const double g[15], double out[3])
 {
-    double (*eta)(double) = n == 1 ? eta_point : eta3_point;
     double ev[8], od[8], mu[15];
-    double fm = eta(centr);
+    double fm = g[7];
     ev[7] = fm;
     od[7] = 0.0;
     double resabs = WCC[7] * fabs(fm);
     for (int j = 0; j < 7; j++) {
-        double dx = hl * CHEB[j];
-        double f1 = eta(centr + dx);
-        double f2 = eta(centr - dx);
+        double f1 = g[j];
+        double f2 = g[14 - j];
         ev[j] = f1 + f2;
         od[j] = f1 - f2;
         resabs += WCC[j] * (fabs(f1) + fabs(f2));
@@ -373,19 +434,25 @@ static void panel(int form, int n, double p1, double p2, double a, double b,
     if ((form == FORM_COS || form == FORM_SIN) && n != 0) {
         double c = p1 * hl;
         if (c > FILON_C_MIN) {
-            filon(form, n, p1, centr, hl, c, out);
+            filon(form, p1, centr, hl, c, eta_nodes(n, RULE_FILON, a, b, centr, hl), out);
             return;
         }
     }
-    double fc = integrand(form, n, p1, p2, centr);
+    const double *g = n == 0 ? ONES : eta_nodes(n, RULE_GK15, a, b, centr, hl);
+    /* The weight times the memoized eta^n, short-circuited at w = 0 as in
+     * integrand. */
+    double w = kernel_weight(form, p1, p2, centr);
+    double fc = w == 0.0 ? w : w * g[7];
     double resk = WGK[7] * fc;
     double resg = WG[3] * fc;
     double resabs = fabs(resk);
     double fv1[7], fv2[7];
     for (int j = 0; j < 7; j++) {
         double dx = hl * XGK[j];
-        double f1 = integrand(form, n, p1, p2, centr - dx);
-        double f2 = integrand(form, n, p1, p2, centr + dx);
+        double w1 = kernel_weight(form, p1, p2, centr - dx);
+        double w2 = kernel_weight(form, p1, p2, centr + dx);
+        double f1 = w1 == 0.0 ? w1 : w1 * g[14 - j];
+        double f2 = w2 == 0.0 ? w2 : w2 * g[j];
         fv1[j] = f1;
         fv2[j] = f2;
         double s = f1 + f2;

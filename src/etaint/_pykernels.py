@@ -16,11 +16,24 @@ Chebyshev moments (the rule of QUADPACK's qawo), so the panel count
 follows eta, not the oscillation.  Every other panel is Gauss-Kronrod
 7/15.  c > 14 keeps the moments' forward recurrence stable: it needs c
 above the top degree.
+
+Panels recur.  The adaptive quadrature of every record starts from the
+same breakpoints (1e-12 or 0, then 0.25, 0.5, 1, 2, ...) and bisects at
+midpoints, so the records of one process keep forming the same panels
+[a, b], and eta^n at a panel's 15 nodes does not depend on the weight.
+``panel`` therefore keeps a per-process memo of those node values, keyed
+by n, the rule (the GK15 and Filon nodes differ) and the exact doubles a
+and b, holding at most _MEMO_SIZE = 1024 panels; a full memo is
+cleared.  On a hit only the weight is evaluated.  Panels with n = 0 (the
+auxiliary integrands, right-hand sides among them) bypass the memo, so
+no right-hand side reads a value computed for a left-hand side.  Sums
+run in the same order either way: hit or miss, the result is the same
+to the bit.
 """
 
 from __future__ import annotations
 
-from math import cos, cosh, exp, hypot, pi, sin, sinh, sqrt
+from math import cos, cosh, exp, hypot, inf, pi, sin, sinh, sqrt
 
 from . import _forms as F
 from .specfun import erf, erfc_scaled, sinh_minus_sin
@@ -96,6 +109,16 @@ _DCT = tuple(
     tuple(_CHEB[min(j * k % 28, 28 - j * k % 28)] for j in range(8)) for k in range(15)
 )
 
+# The panel rules, as memo keys, and their node tables t: both rules
+# sample eta^n at centr + hl t_j and centr - hl t_j (j = 0..6) and at centr.
+_GK15 = 0
+_FILON = 1
+_NODES = (_XGK, _CHEB)
+_MEMO_SIZE = 1024
+_memo: dict[tuple[int, float, float], list[float]] = {}  # (2 n + rule, a, b) -> nodes
+# Stands in for the node values of an n = 0 panel: w * 1.0 == w.
+_ONES = [1.0] * 15
+
 
 def _eta_series(xe: float) -> float:
     c = pi * xe / 12.0
@@ -158,6 +181,27 @@ def eta3_point(x: float) -> float:
     return _eta3_series(x)
 
 
+def _eta_nodes(n: int, rule: int, a: float, b: float, centr: float, hl: float) -> list[float]:
+    """eta^n at the panel's 15 nodes: [j] at centr + hl t_j, [14 - j] at
+    centr - hl t_j (j < 7) and [7] at centr, from the memo when [a, b]
+    was seen before (see the module docstring)."""
+    key = (2 * n + rule, a, b)
+    g = _memo.get(key)
+    if g is None:
+        eta = eta_point if n == 1 else eta3_point
+        t = _NODES[rule]
+        g = [0.0] * 15
+        g[7] = eta(centr)
+        for j in range(7):
+            dx = hl * t[j]
+            g[j] = eta(centr + dx)
+            g[14 - j] = eta(centr - dx)
+        if len(_memo) >= _MEMO_SIZE:
+            _memo.clear()
+        _memo[key] = g
+    return g
+
+
 def _sech(x: float) -> float:
     if x > 350.0:
         return 2.0 * exp(-x)
@@ -167,7 +211,10 @@ def _sech(x: float) -> float:
 def kernel_weight(form: int, p1: float, p2: float, x: float) -> float:
     """The weight f(x) multiplying the eta power; see _forms for the table."""
     if form == F.FORM_POWER:
-        return x ** (-p1)
+        try:
+            return x ** (-p1)
+        except (OverflowError, ZeroDivisionError):
+            return inf  # C's pow, where ** raises
     if form == F.FORM_EXP:
         e = p1 * x
         return exp(-e) if e <= 745.0 else 0.0
@@ -277,7 +324,7 @@ def _moments(c: float) -> list[float]:
 
 
 def _filon(
-    form: int, n: int, p1: float, centr: float, hl: float, c: float
+    form: int, p1: float, centr: float, hl: float, c: float, g: list[float]
 ) -> tuple[float, float, float]:
     """Filon-Clenshaw-Curtis panel of cos/sin(p1 x) eta^n(ix), c = p1 hl.
 
@@ -294,16 +341,14 @@ def _filon(
     The Gauss-Kronrod rule's 50 eps floor applies to resabs = hl sum W_j
     |g_j| with the Clenshaw-Curtis weights W_j.
     """
-    eta = eta_point if n == 1 else eta3_point
     ev = [0.0] * 8
     od = [0.0] * 8
-    fm = eta(centr)
+    fm = g[7]
     ev[7] = fm
     resabs = _WCC[7] * abs(fm)
     for j in range(7):
-        dx = hl * _CHEB[j]
-        f1 = eta(centr + dx)
-        f2 = eta(centr - dx)
+        f1 = g[j]
+        f2 = g[14 - j]
         ev[j] = f1 + f2
         od[j] = f1 - f2
         resabs += _WCC[j] * (abs(f1) + abs(f2))
@@ -367,8 +412,11 @@ def panel(
     if (form == F.FORM_COS or form == F.FORM_SIN) and n != 0:
         c = p1 * hl
         if c > _FILON_C_MIN:
-            return _filon(form, n, p1, centr, hl, c)
-    fc = integrand(form, n, p1, p2, centr)
+            return _filon(form, p1, centr, hl, c, _eta_nodes(n, _FILON, a, b, centr, hl))
+    g = _ONES if n == 0 else _eta_nodes(n, _GK15, a, b, centr, hl)
+    # The weight times the memoized eta^n, short-circuited at w = 0 as in integrand.
+    w = kernel_weight(form, p1, p2, centr)
+    fc = w if w == 0.0 else w * g[7]
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
     resabs = abs(resk)
@@ -376,8 +424,10 @@ def panel(
     fv2 = [0.0] * 7
     for j in range(7):
         dx = hl * _XGK[j]
-        f1 = integrand(form, n, p1, p2, centr - dx)
-        f2 = integrand(form, n, p1, p2, centr + dx)
+        w1 = kernel_weight(form, p1, p2, centr - dx)
+        w2 = kernel_weight(form, p1, p2, centr + dx)
+        f1 = w1 if w1 == 0.0 else w1 * g[14 - j]
+        f2 = w2 if w2 == 0.0 else w2 * g[j]
         fv1[j] = f1
         fv2[j] = f2
         s = f1 + f2

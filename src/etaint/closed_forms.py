@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import wraps
 from math import atan, cos, cosh, exp, factorial, pi, sin, sinh, sqrt, tanh
 
 from . import specfun
@@ -66,6 +67,29 @@ def _finite(v: float, name: str) -> float:
     return v
 
 
+def _finite_result(param: str):
+    """Decorator: a right-hand side of one parameter that overflows double
+    precision (by OverflowError, or an inf or NaN result) raises DomainError
+    naming the parameter."""
+
+    def wrap(f):
+        @wraps(f)
+        def checked(x: float) -> float:
+            try:
+                v = f(x)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise DomainError(
+                    f"{f.__name__} overflows in double precision at {param}={float(x):g}"
+                )
+            return v
+
+        return checked
+
+    return wrap
+
+
 def laplace_eta(t: float) -> float:
     """EQ5: int e^{-t x} eta(ix) dx = sqrt(pi/t) sinh(2 sqrt(pi t/3)) / cosh(sqrt(3 pi t)).
 
@@ -95,6 +119,7 @@ def _laplace_eta_complex(t: complex) -> complex:
     return cmath.sqrt(pi / t) * cmath.sinh(u) / cmath.cosh(v)
 
 
+@_finite_result("s")
 def mellin_eta(s: float) -> float:
     """EQ7: int x^{-s} eta(ix) dx, for s > 0.
 
@@ -160,6 +185,7 @@ def laplace_eta3(y: float) -> float:
     return 1.0 / cosh(u)
 
 
+@_finite_result("nu")
 def mellin_eta3(nu: float) -> float:
     """A3: int x^{-nu} eta^3(ix) dx = (4/pi^nu) Gamma(2nu)/Gamma(nu) beta(2nu)."""
     nu = _finite(nu, "nu")

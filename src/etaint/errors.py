@@ -14,4 +14,11 @@ class ToleranceError(RuntimeError):
 
 
 class NonConvergenceError(RuntimeError):
-    """The adaptive quadrature evaluation budget was exhausted."""
+    """The adaptive quadrature evaluation budget was exhausted.
+
+    ``evals`` is the number of integrand evaluations spent before giving up.
+    """
+
+    def __init__(self, message: str, evals: int = 0):
+        super().__init__(message)
+        self.evals = evals

@@ -32,13 +32,23 @@ discarded mass is bounded explicitly (in practice it underflows to 0).
 
 Everything is deterministic: no randomized subdivision, ties broken by
 insertion order, final sums accumulated with math.fsum in panel order.
+
+Panels recur across records: every record starts from the breakpoints
+of ``_initial_breakpoints`` (lo, then 0.25, 0.5, 1, 2, ...) and splits
+at midpoints, so the records of one process form the same panels again
+and again.  The kernel twins therefore keep a per-process memo of
+eta^n at each panel's 15 nodes, keyed by n, the rule and the exact
+endpoints, holding 1,024 panels; only n >= 1 panels use it, so no
+right-hand side quadrature reads a left-hand side's values.  A result
+does not depend on whether a panel hit the memo, and ``evals`` still
+counts 15 per panel.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from math import exp, fsum, log, pi, sqrt
+from math import exp, fsum, inf, log, pi, sqrt
 from typing import NamedTuple
 
 from . import _backend, dedekind
@@ -234,11 +244,14 @@ def _adaptive(
         seq += 1
         err_total += err
     done: list[list[float]] = []
-    while err_total > tol_abs and heap:
+    # A non-finite panel error ends the loop (NaN compares False) and is
+    # caught below; a non-finite value always comes with one.
+    while tol_abs < err_total < inf and heap:
         if evals + 30 > max_evals:
             raise NonConvergenceError(
                 f"evaluation budget {max_evals} exhausted "
-                f"(err_est {err_total:.3e} > tol {tol_abs:.3e})"
+                f"(err_est {err_total:.3e} > tol {tol_abs:.3e})",
+                evals,
             )
         item = heapq.heappop(heap)
         _, _, a, b, val, err = item
@@ -254,6 +267,11 @@ def _adaptive(
         seq += 1
         heapq.heappush(heap, [-e2, seq, mid, b, v2, e2])
         seq += 1
+    if not math.isfinite(err_total):
+        raise DomainError(
+            f"the integrand (form id {fid}, n={n}, a={p1:g}) is not finite"
+            f" in double precision on [{lo:g}, {hi:g}]"
+        )
     panels = sorted(heap + done, key=lambda it: it[2])
     value = fsum(it[4] for it in panels)
     err = fsum(it[5] for it in panels)
@@ -326,8 +344,16 @@ def integrate(
             if not (math.isfinite(hi) and hi > lo):
                 raise DomainError(f"cutoff must exceed the lower limit, got {cutoff!r}")
             tail = _tail_integral_bound(rate, m, amp, hi)
-    # Before any panel: a parameter whose clipped mass overflows is rejected.
-    mass = _lower_mass_bound(kernel, m, amp, lo) if lo > 0.0 else 0.0
+    # Before any panel: a parameter whose weight or clipped mass overflows
+    # at the lower limit is rejected.
+    mass = 0.0
+    if lo > 0.0:
+        if not math.isfinite(_backend.kernel_weight(kernel.form_id, kernel.a, kernel.p, lo)):
+            raise DomainError(
+                f"kernel parameter a={kernel.a:g} of form {kernel.form!r} is too large:"
+                f" the weight overflows at the lower limit x={lo:g}"
+            )
+        mass = _lower_mass_bound(kernel, m, amp, lo)
     value, perr, evals = _adaptive(
         kernel.form_id, kernel.n, kernel.a, kernel.p, lo, hi, 0.5 * tol, max_evals
     )

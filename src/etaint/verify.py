@@ -432,7 +432,7 @@ def verify_identity(
             abs_residual=math.inf,
             rel_residual=math.inf,
             status="fail",
-            evals=0,
+            evals=exc.evals,
             ms=ms,
             note=f"quadrature did not converge: {exc}",
         )

@@ -10,10 +10,23 @@ implementation under test.
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
+import etaint
 from etaint import verify
+
+
+def subprocess_env(pure: bool = False) -> dict:
+    """The environment for a child interpreter that imports this etaint."""
+    env = dict(os.environ)
+    env.pop("ETAINT_PURE", None)
+    if pure:
+        env["ETAINT_PURE"] = "1"
+    src = os.path.dirname(os.path.dirname(etaint.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

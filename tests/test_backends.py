@@ -6,6 +6,7 @@ import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -13,6 +14,8 @@ import pytest
 
 from etaint import _forms as F
 from etaint._backend import available_backends
+
+from conftest import subprocess_env
 
 _BACKENDS = available_backends()
 
@@ -50,6 +53,13 @@ CASES = [
 XS = [1e-12, 1e-6, 0.01, 0.3, 0.49999, 0.5, 1.0, 2.7, 10.0, 37.5, 300.0, 400.0]
 
 
+def _same_twice(py, cy, args):
+    """Each twin's panel, called twice: all four results are equal (the
+    second call of an eta panel reads the memo)."""
+    results = [k.panel(*args) for k in (py, cy) for _ in range(2)]
+    return results.count(results[0]) == 4
+
+
 @needs_compiled
 class TestTwins:
     def test_eta_points_match(self):
@@ -78,7 +88,7 @@ class TestTwins:
             x = 10 ** rng.uniform(-6.0, 2.6)
             args = (form, n, p1, p2, x, x * (1.0 + rng.random()))
             assert py.integrand(*args[:5]) == cy.integrand(*args[:5]), args
-            assert py.panel(*args) == cy.panel(*args), args
+            assert _same_twice(py, cy, args), args
         # cos/sin panels on both sides of the Filon switch c = p1 (b - a)/2 > 14.
         filon = 0
         for _ in range(2_000):
@@ -88,7 +98,7 @@ class TestTwins:
             a = 10 ** rng.uniform(-12.0, 0.0)
             args = (form, n, p1, 0.0, a, a + 10 ** rng.uniform(-4.0, 0.0))
             filon += p1 * 0.5 * (args[5] - a) > 14.0
-            assert py.panel(*args) == cy.panel(*args), args
+            assert _same_twice(py, cy, args), args
         assert 500 < filon < 1_500
 
     @pytest.mark.parametrize("form,n,p1,p2", CASES)
@@ -96,6 +106,55 @@ class TestTwins:
         py, cy = _BACKENDS["python"], _BACKENDS["compiled"]
         for a, b in [(0.0, 0.25), (1e-12, 0.25), (0.5, 1.0), (2.0, 4.0), (8.0, 16.0)]:
             assert py.panel(form, n, p1, p2, a, b) == cy.panel(form, n, p1, p2, a, b), (a, b)
+
+
+# Distinct eta panels of both rules (Filon: c = p1 (b - a)/2 = 25), then
+# the first ones (evicted) and the last ones (still held) again under
+# another weight of the same rule and n.
+_FIRST = [
+    (F.FORM_POWER, 1, 0.5), (F.FORM_EXP, 3, 2.0), (F.FORM_COS, 1, 5000.0), (F.FORM_SIN, 3, 5000.0)
+]
+_AGAIN = [
+    (F.FORM_EXP, 1, 1.5), (F.FORM_POWER, 3, 0.75), (F.FORM_SIN, 1, 3000.0), (F.FORM_COS, 3, 7000.0)
+]
+
+
+def _memo_panels(weights, count):
+    return [(*weights[i % 4], 0.0, 1e-3 * i, 1e-3 * i + 0.01) for i in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_memo_past_capacity_then_requery_matches_a_fresh_process(backend):
+    k = _BACKENDS[backend]
+    py = _BACKENDS["python"]
+    count = py._MEMO_SIZE * 3 // 2
+    for args in _memo_panels(_FIRST, count):
+        k.panel(*args)
+        assert len(py._memo) <= py._MEMO_SIZE
+    again = _memo_panels(_AGAIN, count)
+    again = again[:64] + again[-64:]
+    here = [k.panel(*args) for args in again]
+    probe = (
+        f"from etaint import {k.__name__.rsplit('.', 1)[1]} as k\n"
+        f"print([k.panel(*args) for args in {again!r}])"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert repr(here) == fresh.strip()
+
+
+def test_n0_panels_leave_the_memo_untouched():
+    py = _BACKENDS["python"]
+    py.panel(F.FORM_EXP, 1, 1.0, 0.0, 0.5, 1.0)
+    before = dict(py._memo)
+    for form, n, p1, p2 in CASES:
+        if n == 0:
+            for a, b in [(0.0, 0.25), (0.5, 1.0), (2.0, 4.0)]:
+                py.panel(form, n, p1, p2, a, b)
+    py.panel(F.FORM_COS, 0, 5000.0, 0.0, 0.5, 1.0)  # cos without eta: GK15, no memo
+    assert py._memo == before and list(py._memo) == list(before)
 
 
 def test_every_form_has_a_case_and_a_finite_pure_weight():
@@ -144,7 +203,7 @@ def test_c_source_compiles_warning_free(tmp_path):
     spec.loader.exec_module(mod)
     assert mod.BACKEND_NAME == "compiled"
     args = (F.FORM_COS, 1, 5.0, 0.0, 0.1, 0.2)
-    assert mod.panel(*args) == _BACKENDS["python"].panel(*args)
+    assert mod.panel(*args) == mod.panel(*args) == _BACKENDS["python"].panel(*args)
 
 
 @needs_compiled

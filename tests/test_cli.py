@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import os
 import platform
 import subprocess
 import sys
@@ -15,6 +14,8 @@ import etaint
 from etaint import cli, verify
 from etaint._backend import available_backends
 from etaint.errors import NonConvergenceError
+
+from conftest import subprocess_env
 
 
 def run_cli(capsys, *argv):
@@ -76,10 +77,30 @@ class TestParameterEdges:
 
     @pytest.mark.parametrize("ident,param", [("EQ7", "s"), ("A3", "nu")])
     def test_huge_parameter_is_usage_error(self, capsys, ident, param):
-        # the mass clipped below x = 1e-12 overflows: one line, exit 2
+        # the weight x^-s overflows at the lower limit x = 1e-12: one line, exit 2
         code, out, err = run_cli(capsys, "eval", "--identity", ident, "--param", f"{param}=1e300")
         assert code == cli.USAGE_ERROR and out == ""
         assert err.startswith(f"error: {ident} at {param}=1e+300:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "ident,param", [("EQ7", "s=30"), ("EQ7", "s=60"), ("EQ7", "s=100"), ("EQ7", "s=150"),
+                    ("A3", "nu=30"), ("A3", "nu=200")]
+)
+def test_overflowing_weight_is_the_same_usage_error_on_both_backends(ident, param):
+    # x^-s overflows at the lower limit x = 1e-12 for s > 25.7
+    outcomes = []
+    for backend in sorted(available_backends()):
+        proc = subprocess.run(
+            [sys.executable, "-m", "etaint.cli", "eval", "--identity", ident, "--param", param],
+            env=subprocess_env(pure=backend == "python"), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == cli.USAGE_ERROR and proc.stdout == "", backend
+        assert proc.stderr.startswith(f"error: {ident} at {param}:"), proc.stderr
+        assert proc.stderr.count("\n") == 1 and "overflows" in proc.stderr
+        outcomes.append(proc.stderr)
+    assert len(set(outcomes)) == 1
 
 
 class TestRecordDiagnostics:
@@ -106,6 +127,17 @@ class TestRecordDiagnostics:
         assert rec["status"] == "fail"
         assert rec["cutoff"] is None and rec["tail_method"] is None
         assert "synthetic budget exhaustion" in rec["note"]
+
+
+    def test_nonconvergence_reports_the_evaluations_spent(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "eval", "--identity", "EQ7", "--param", "s=8", "--format", "json"
+        )
+        assert code == 1
+        payload = json.loads(out)
+        (rec,) = payload["records"]
+        assert rec["status"] == "fail" and "did not converge" in rec["note"]
+        assert rec["evals"] >= 99_000 and rec["evals"] == payload["suite"]["totals"]["evals"]
 
 
 class TestTable:
@@ -151,7 +183,7 @@ class TestTable:
         proc = subprocess.run(
             [sys.executable, "-m", "etaint.cli", "table", "--identity", "EQ5",
              "--param", "t=1:1e9:1e-9"],
-            env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == cli.USAGE_ERROR
         assert proc.stderr.startswith("error: --param t:") and "10000 points" in proc.stderr
@@ -310,21 +342,43 @@ class TestParameterNames:
         assert "EQ7 takes parameters: s" in err
 
 
+def _without_timing(payload):
+    suite = {k: v for k, v in payload["suite"].items() if k != "started_at"}
+    suite["totals"] = {k: v for k, v in suite["totals"].items() if k != "ms"}
+    return suite, [{k: v for k, v in r.items() if k != "ms"} for r in payload["records"]]
+
+
+_WARM_RUN = """
+import contextlib, io
+from etaint import cli, verify
+verify.run_suite()
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["table", "--identity", "EQ7", "--param", "s=0.25:3:0.25"])
+cli.main(["run", "--all", "--format", "json"])
+"""
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_run_all_json_is_the_same_in_a_warm_process(backend):
+    # The kernels' panel memo is warm in the second process: no record may move.
+    if backend not in available_backends():
+        pytest.skip("compiled kernel core not built")
+    env = subprocess_env(pure=backend == "python")
+    payloads = [
+        json.loads(subprocess.run(
+            argv, env=env, capture_output=True, text=True, check=True, timeout=120
+        ).stdout)
+        for argv in ([sys.executable, "-m", "etaint.cli", "run", "--all", "--format", "json"],
+                     [sys.executable, "-c", _WARM_RUN])
+    ]
+    assert payloads[0]["suite"]["backend"] == backend
+    assert _without_timing(payloads[0]) == _without_timing(payloads[1])
+
+
 _STARTUP_PROBE = (
     "import sys, etaint.cli; print(etaint.backend_name(),"
     " *sorted({'dataclasses', 'inspect', 'csv'} & sys.modules.keys()))"
 )
-
-
-def _subprocess_env(pure: bool = False) -> dict:
-    """The environment for a child interpreter that imports this etaint."""
-    env = dict(os.environ)
-    env.pop("ETAINT_PURE", None)
-    if pure:
-        env["ETAINT_PURE"] = "1"
-    src = os.path.dirname(os.path.dirname(etaint.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 @pytest.mark.parametrize("backend", ["compiled", "python"])
@@ -333,7 +387,7 @@ def test_import_leaves_dataclasses_inspect_and_csv_unloaded(backend):
         pytest.skip("compiled kernel core not built")
     out = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE],
-        env=_subprocess_env(pure=backend == "python"),
+        env=subprocess_env(pure=backend == "python"),
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.split() == [backend]

@@ -1,6 +1,7 @@
 """Closed-form evaluators against series oracles and limit relations."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -77,6 +78,14 @@ class TestMellinEta:
             cf.mellin_eta(0.0)
         with pytest.raises(DomainError):
             cf.mellin_eta(-1.0)
+
+    @pytest.mark.parametrize("f,param,value", [
+        (cf.mellin_eta, "s", 150.0), (cf.mellin_eta, "s", 1e300),
+        (cf.mellin_eta3, "nu", 200.0), (cf.mellin_eta3, "nu", 1e300),
+    ])
+    def test_overflow_is_a_domain_error(self, f, param, value):
+        with pytest.raises(DomainError, match=re.escape(f"{param}={value:g}")):
+            f(value)
 
 
 class TestFourierEta:

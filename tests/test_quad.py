@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from etaint import _backend, _pykernels, closed_forms, specfun
+from etaint import _backend, _pykernels, closed_forms, quad, specfun
 from etaint import _forms as F
 from etaint._forms import FORMS
 from etaint.errors import DomainError, NonConvergenceError
@@ -117,8 +117,17 @@ class TestEngineContracts:
         assert r.lower == 1e-12
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError) as info:
             integrate(KernelSpec("cos", 1, a=2000.0), 1e-13, max_evals=600)
+        assert 570 < info.value.evals <= 600
+
+    @pytest.mark.parametrize("backend", sorted(_backend.available_backends()))
+    def test_non_finite_panel_raises(self, monkeypatch, backend):
+        # x^-60 overflows near 0 (inf * eta = NaN); NaN > tol is False, so
+        # without the check the bisection would end as if converged.
+        monkeypatch.setattr(_backend, "panel", _backend.available_backends()[backend].panel)
+        with pytest.raises(DomainError, match="not finite"):
+            quad._adaptive(F.FORM_POWER, 1, 60.0, 0.0, 1e-12, 1.0, 1e-11, EVAL_BUDGET)
 
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
