@@ -11,10 +11,12 @@
  * Chebyshev moments; c > 14 keeps the moments' forward recurrence
  * stable), every other panel is Gauss-Kronrod 7/15.
  *
- * Panels recur: the adaptive quadrature of every record starts from the
- * same breakpoints (1e-12 or 0, then 0.25, 0.5, 1, 2, ...) and bisects at
- * midpoints, so the records of one process keep forming the same panels
- * [a, b], and eta^n at a panel's 15 nodes does not depend on the weight.
+ * Panels recur: the adaptive quadrature of every record starts from
+ * dyadic breakpoints (with an eta factor, powers of two graded from a
+ * lower limit 2^-j up to 1/4, 1/2, 1, 2, ...; without one, 0, 0.25, 0.5,
+ * ...) and bisects at midpoints, so the records of one process keep
+ * forming the same panels [a, b], and eta^n at a panel's 15 nodes does
+ * not depend on the weight.
  * `panel` keeps those node values in a static direct-mapped table of
  * MEMO_SIZE = 1024 panels (about 150 KB), keyed by n, the rule (GK15 and
  * Filon nodes differ) and the exact doubles a and b; a colliding panel

@@ -70,10 +70,17 @@ class Form(NamedTuple):
 
     ``decay(a, p)`` returns (rate, m, amp) with |weight(x)| <= amp * x^m
     * e^{-rate x} for x >= 1; the engine adds the eta factor's own rate.
-    It is None for glaisher11, whose tail is algebraic.  ``a_min`` is the
-    lower bound on the primary parameter (None when it is unbounded),
-    exclusive when ``a_open``; ``p_values`` lists the admissible
-    secondary parameters (None when any is).
+    For the forms with an eta factor, amp * x^m must also bound |weight|
+    on (0, 1/8]: the engine bounds the mass it clips below its lower
+    limit with it.  Every such row does: x^-a exactly; the factors beside
+    x^m of exp, cos, sin, exp_recip, cos_recip, erf_weight and
+    scaled_erfc_recip (e^{z^2} erfc(z)) are <= 1 in modulus;
+    (x + a)^-p <= x^-p; e^{-a x}/x <= 1/x; sqrt_shift <= x/sqrt(2)
+    <= x^-1/2; im_rsqrt <= a/(2 x^1.5).  ``decay`` is None for
+    glaisher11, whose tail is algebraic.  ``a_min`` is the lower bound on
+    the primary parameter (None when it is unbounded), exclusive when
+    ``a_open``; ``p_values`` lists the admissible secondary parameters
+    (None when any is).
 
     ``laplace_tail(a, lam, x0)`` is int_{x0}^inf weight(x) e^{-lam x} dx
     in closed form, for lam > 0 and x0 >= 1; the engine integrates the

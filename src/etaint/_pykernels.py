@@ -17,10 +17,12 @@ follows eta, not the oscillation.  Every other panel is Gauss-Kronrod
 7/15.  c > 14 keeps the moments' forward recurrence stable: it needs c
 above the top degree.
 
-Panels recur.  The adaptive quadrature of every record starts from the
-same breakpoints (1e-12 or 0, then 0.25, 0.5, 1, 2, ...) and bisects at
-midpoints, so the records of one process keep forming the same panels
-[a, b], and eta^n at a panel's 15 nodes does not depend on the weight.
+Panels recur.  The adaptive quadrature of every record starts from
+dyadic breakpoints (with an eta factor, powers of two graded from a lower
+limit 2^-j up to 1/4, 1/2, 1, 2, ...; without one, 0, 0.25, 0.5, ...)
+and bisects at midpoints, so the records of one process keep forming
+the same panels [a, b], and eta^n at a panel's 15 nodes does not depend
+on the weight.
 ``panel`` therefore keeps a per-process memo of those node values, keyed
 by n, the rule (the GK15 and Filon nodes differ) and the exact doubles a
 and b, holding at most _MEMO_SIZE = 1024 panels; a full memo is

@@ -138,6 +138,9 @@ def _record_payload(r: verify.IdentityRecord) -> dict:
         "cutoff": r.cutoff,
         "tail_method": r.tail_method,
         "note": r.note,
+        "lower": r.lower,
+        "lower_err": r.lower_err,
+        "tail_err": r.tail_err,
     }
 
 

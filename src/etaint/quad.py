@@ -26,22 +26,33 @@ sees one panel function.  Tail methods:
 * ``algebraic-correction`` -- the Glaisher integrand of EQ11, whose tail
   is 1/X up to an exponentially small remainder.
 
-Weights with an x^{-s}-type factor start at lo = 1e-12 instead of 0;
-the eta factor decays like x^{-n/2} e^{-n pi/(12 x)} there, so the
-discarded mass is bounded explicitly (in practice it underflows to 0).
+Integrands with an eta factor (n >= 1) start at a lower limit lo > 0.
+Near 0, eta^n(ix) <= x^{-n/2} e^{-n pi/(12 x)} vanishes to all orders,
+and the weight is at most amp x^m (``Form.decay``), so the mass below lo
+is at most lo times the supremum of their product, which sits at lo
+while lo <= n pi/(12 (n/2 - m)).  lo is the largest power of two
+2^-j <= 1/8 whose bound is <= tol/4 (``_choose_lower``), or 1e-12 when
+none is; the bound is ``lower_err`` and stays in the error.  The
+tolerance splits into panels 1/2, tail 1/4 and clipped mass 1/4.
+Whether the weight is finite is checked at x = 1e-12 whatever lo is, so
+the parameter domain does not depend on lo.  Integrands without an eta
+factor (n = 0) start at 0 or at their own lower limit.
 
 Everything is deterministic: no randomized subdivision, ties broken by
 insertion order, final sums accumulated with math.fsum in panel order.
 
 Panels recur across records: every record starts from the breakpoints
-of ``_initial_breakpoints`` (lo, then 0.25, 0.5, 1, 2, ...) and splits
-at midpoints, so the records of one process form the same panels again
-and again.  The kernel twins therefore keep a per-process memo of
-eta^n at each panel's 15 nodes, keyed by n, the rule and the exact
-endpoints, holding 1,024 panels; only n >= 1 panels use it, so no
-right-hand side quadrature reads a left-hand side's values.  A result
-does not depend on whether a panel hit the memo, and ``evals`` still
-counts 15 per panel.
+of ``_initial_breakpoints`` and splits at midpoints.  For n >= 1 they
+are graded geometrically toward the lower limit, lo, 2 lo, 4 lo, ...,
+1/4, 1/2, 1, 2, ..., so the bisection does not walk toward 0 one halving
+at a time; for n = 0 (and for lo = 1e-12) they are lo, then 0.25, 0.5,
+1, 2, ....  Past a 1e-12 or n = 0 limit every endpoint is dyadic, so
+the records of one process form the same panels again and again.  The kernel twins therefore keep a
+per-process memo of eta^n at each panel's 15 nodes, keyed by n, the rule
+and the exact endpoints, holding 1,024 panels; only n >= 1 panels use
+it, so no right-hand side quadrature reads a left-hand side's values.  A
+result does not depend on whether a panel hit the memo, and ``evals``
+still counts 15 per panel.
 """
 
 from __future__ import annotations
@@ -131,9 +142,10 @@ class KernelSpec(_KernelFields):
 class QuadResult(NamedTuple):
     """Integral estimate with its error budget and tail metadata.
 
-    ``err_est`` is the panel estimates plus ``tail_err`` plus the bound on
-    the mass clipped below ``lower``.  ``tail_value`` is the part of
-    ``value`` that the tail method added for [cutoff, inf).
+    ``err_est`` is the panel estimates plus ``tail_err`` plus
+    ``lower_err``, the bound on the mass clipped below ``lower``.
+    ``tail_value`` is the part of ``value`` that the tail method added for
+    [cutoff, inf).
     """
 
     value: float
@@ -147,6 +159,7 @@ class QuadResult(NamedTuple):
     tail_value: float = 0.0
     lower: float = 0.0
     tail_err: float = 0.0
+    lower_err: float = 0.0
 
 
 def _decay_model(k: KernelSpec) -> tuple[float, float, float]:
@@ -166,9 +179,15 @@ def _tail_integral_bound(rate: float, m: float, amp: float, x: float) -> float:
     e = rx - m * log(x)
     if e > 745.0:
         return 0.0
-    b = amp * exp(-e) / rate
+    b = amp * exp(-e) / rate if e > -709.0 else math.inf
     if m > 0.0:
         b /= 1.0 - m / rx
+    # As for the clipped mass: an infinite bound would pass any residual.
+    if b == math.inf:
+        raise DomainError(
+            f"the integrand's tail beyond x={x:g} (decay x^{m:g} e^(-{rate:g} x))"
+            " cannot be bounded in double precision"
+        )
     return b
 
 
@@ -209,9 +228,9 @@ def _series_tail(kernel: KernelSpec, laplace_tail, x0: float) -> tuple[float, fl
     return value, trunc + 50.0 * _EPS * mass
 
 
-def _initial_breakpoints(lo: float, hi: float) -> list[float]:
+def _initial_breakpoints(lo: float, hi: float, first: float = 0.25) -> list[float]:
     pts = [lo]
-    p = 0.25
+    p = first
     while p <= lo:
         p *= 2.0
     while p < hi:
@@ -230,9 +249,10 @@ def _adaptive(
     hi: float,
     tol_abs: float,
     max_evals: int,
+    first: float = 0.25,
 ) -> tuple[float, float, int]:
     panel = _backend.panel
-    pts = _initial_breakpoints(lo, hi)
+    pts = _initial_breakpoints(lo, hi, first)
     heap: list[list[float]] = []
     seq = 0
     evals = 0
@@ -279,7 +299,8 @@ def _adaptive(
 
 
 def _lower_mass_bound(k: KernelSpec, m: float, amp: float, lo: float) -> float:
-    # sup over (0, lo] of amp x^m * x^{-n/2} e^{-n pi/(12 x)}, times lo.
+    # sup over (0, lo] of amp x^m * x^{-n/2} e^{-n pi/(12 x)}, times lo; the
+    # sup sits at lo while lo <= n pi/(12 (n/2 - m)).
     e = (1.0 + m - 0.5 * k.n) * log(lo) - k.n * pi / (12.0 * lo)
     if e < -745.0:
         return 0.0
@@ -292,6 +313,53 @@ def _lower_mass_bound(k: KernelSpec, m: float, amp: float, lo: float) -> float:
             f" the mass below x={lo:g} cannot be bounded in double precision"
         )
     return bound
+
+
+_LN2 = log(2.0)
+# Candidate lower limits 2^-j: from 1/8 down to 2^-39, the last power of
+# two above _LO_CLIP.
+_LOWER_J = range(3, 40)
+# (n, m, amp, tol_lower) -> (lo, bound): most records of a process share
+# their weight's decay model and tolerance.  Cleared when full.
+_LOWER_CACHE: dict[tuple[int, float, float, float], tuple[float, float]] = {}
+_LOWER_CACHE_SIZE = 1024
+
+
+def _choose_lower(
+    k: KernelSpec, m: float, amp: float, tol_lower: float
+) -> tuple[float, float]:
+    """(lo, its clipped-mass bound): the largest lo = 2^-j <= 1/8 with a
+    bound <= tol_lower, else _LO_CLIP."""
+    key = (k.n, m, amp, tol_lower)
+    hit = _LOWER_CACHE.get(key)
+    if hit is not None:
+        return hit
+    if len(_LOWER_CACHE) >= _LOWER_CACHE_SIZE:
+        _LOWER_CACHE.clear()
+    _LOWER_CACHE[key] = hit = _search_lower(k, m, amp, tol_lower)
+    return hit
+
+
+def _search_lower(
+    k: KernelSpec, m: float, amp: float, tol_lower: float
+) -> tuple[float, float]:
+    # In log space on exact powers of two, a few multiply-adds per
+    # candidate; _lower_mass_bound then confirms the candidate, so rounding
+    # in the log-space test cannot let a larger bound through.
+    c = k.n * pi / 12.0
+    q = 1.0 + m - 0.5 * k.n  # the power of lo in the bound
+    rise = 0.5 * k.n - m  # the sup sits at lo while c 2^j >= rise
+    need = log(amp) - log(tol_lower)  # c 2^j + q j ln 2 must reach it
+    x = 8.0
+    for j in _LOWER_J:
+        cx = c * x
+        if cx >= rise and cx + q * j * _LN2 >= need:
+            lo = 1.0 / x
+            mass = _lower_mass_bound(k, m, amp, lo)
+            if mass <= tol_lower:
+                return lo, mass
+        x *= 2.0
+    return _LO_CLIP, _lower_mass_bound(k, m, amp, _LO_CLIP)
 
 
 def _check_tol(tol: float, floor: float) -> float:
@@ -324,7 +392,21 @@ def integrate(
     rate, m, amp = _decay_model(kernel)
     if rate <= 0.0:
         raise DomainError(f"kernel {kernel.form!r} has no decaying tail model")
-    lo = _LO_CLIP if kernel.n >= 1 else 0.0
+    # Before any panel: a parameter whose weight or clipped mass overflows
+    # at x = 1e-12 is rejected, whatever the lower limit.
+    lo = mass = 0.0
+    first = 0.25
+    if kernel.n >= 1:
+        if not math.isfinite(
+            _backend.kernel_weight(kernel.form_id, kernel.a, kernel.p, _LO_CLIP)
+        ):
+            raise DomainError(
+                f"kernel parameter a={kernel.a:g} of form {kernel.form!r} is too large:"
+                f" the weight overflows at x={_LO_CLIP:g}, the lowest lower limit"
+            )
+        lo, mass = _choose_lower(kernel, m, amp, 0.25 * tol)
+        if lo != _LO_CLIP:
+            first = 2.0 * lo
     laplace_tail = F.FORMS[kernel.form].laplace_tail
     if laplace_tail is not None:
         hi = _SERIES_SPLIT if cutoff is None else float(cutoff)
@@ -344,18 +426,9 @@ def integrate(
             if not (math.isfinite(hi) and hi > lo):
                 raise DomainError(f"cutoff must exceed the lower limit, got {cutoff!r}")
             tail = _tail_integral_bound(rate, m, amp, hi)
-    # Before any panel: a parameter whose weight or clipped mass overflows
-    # at the lower limit is rejected.
-    mass = 0.0
-    if lo > 0.0:
-        if not math.isfinite(_backend.kernel_weight(kernel.form_id, kernel.a, kernel.p, lo)):
-            raise DomainError(
-                f"kernel parameter a={kernel.a:g} of form {kernel.form!r} is too large:"
-                f" the weight overflows at the lower limit x={lo:g}"
-            )
-        mass = _lower_mass_bound(kernel, m, amp, lo)
     value, perr, evals = _adaptive(
-        kernel.form_id, kernel.n, kernel.a, kernel.p, lo, hi, 0.5 * tol, max_evals
+        kernel.form_id, kernel.n, kernel.a, kernel.p, lo, hi, 0.5 * tol, max_evals,
+        first,
     )
     return QuadResult(
         value=value + tail_value,
@@ -366,6 +439,7 @@ def integrate(
         tail_value=tail_value,
         lower=lo,
         tail_err=tail,
+        lower_err=mass,
     )
 
 

@@ -69,6 +69,11 @@ class IdentityRecord(NamedTuple):
     note: str = ""
     cutoff: float | None = None  # where the quadrature stopped; None if it failed
     tail_method: str | None = None  # QuadResult.tail_method; None if it failed
+    # Where lhs_err_est went, None if the quadrature failed: the lower limit,
+    # the bound on the mass clipped below it, and the tail's error.
+    lower: float | None = None
+    lower_err: float | None = None
+    tail_err: float | None = None
 
 
 class VerificationReport(NamedTuple):
@@ -458,6 +463,9 @@ def verify_identity(
         note=spec.notes,
         cutoff=res.cutoff,
         tail_method=res.tail_method,
+        lower=res.lower,
+        lower_err=spec.lhs_scale * res.lower_err,
+        tail_err=spec.lhs_scale * res.tail_err,
     )
 
 
@@ -523,6 +531,9 @@ def transform_pair_check(
         note="transform-pair mechanism (both sides quadratures)",
         cutoff=lhs_res.cutoff,
         tail_method=lhs_res.tail_method,
+        lower=lhs_res.lower,
+        lower_err=lhs_res.lower_err,  # the F side starts at 0 and clips nothing
+        tail_err=lhs_res.tail_err + rhs_res.tail_err,
     )
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from etaint import _backend, _pykernels, closed_forms, quad, specfun
+from etaint import _backend, _pykernels, closed_forms, quad, specfun, verify
 from etaint import _forms as F
 from etaint._forms import FORMS
 from etaint.errors import DomainError, NonConvergenceError
@@ -114,7 +114,9 @@ class TestEngineContracts:
         assert r.evals <= EVAL_BUDGET
         assert math.isfinite(r.cutoff) and r.cutoff > 0.0
         assert r.tail_method == "exp-bound"
-        assert r.lower == 1e-12
+        # the lower limit is a power of two, and both bounds are in err_est
+        assert math.frexp(r.lower)[0] == 0.5 and 1e-12 <= r.lower <= 0.125
+        assert r.err_est >= r.tail_err + r.lower_err
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(NonConvergenceError) as info:
@@ -128,6 +130,16 @@ class TestEngineContracts:
         monkeypatch.setattr(_backend, "panel", _backend.available_backends()[backend].panel)
         with pytest.raises(DomainError, match="not finite"):
             quad._adaptive(F.FORM_POWER, 1, 60.0, 0.0, 1e-12, 1.0, 1e-11, EVAL_BUDGET)
+
+    @pytest.mark.parametrize("backend", sorted(_backend.available_backends()))
+    @pytest.mark.parametrize("n,a", [(1, -200.0), (3, -200.0), (1, -1000.0)])
+    def test_overflowing_tail_bound_raises(self, monkeypatch, backend, n, a):
+        # x^-a e^(-rate x) with a << 0: the tail bound exceeds any double
+        kernels = _backend.available_backends()[backend]
+        monkeypatch.setattr(_backend, "panel", kernels.panel)
+        monkeypatch.setattr(_backend, "kernel_weight", kernels.kernel_weight)
+        with pytest.raises(DomainError, match="cannot be bounded"):
+            integrate(KernelSpec("power", n, a=a))
 
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
@@ -213,6 +225,107 @@ class TestSeriesCorrectionTail:
         assert r.tail_method == "series-correction"
         ref = eta_transform_series_oracle(lambda lam, y: lam / (lam * lam + y * y), 5.0)
         assert abs(r.value - ref) <= 1e-10
+
+
+def _mp_lower_mass(k: KernelSpec, lo: float) -> float:
+    """int_0^lo |w(x) eta^n(ix)| dx by mpmath at 30-digit working precision.
+
+    With t = 1/x, eta(ix) = t^{1/2} e^{-pi t/12} prod (1 - e^{-2 pi j t})
+    is the product form of eta(it), so the integral becomes one over
+    [1/lo, inf) of an exponentially decaying integrand.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, p = mpmath.mpf(k.a), mpmath.mpf(k.p)
+        sqrt = mpmath.sqrt
+        weight = {
+            "power": lambda x: x**-a,
+            "exp": lambda x: mpmath.exp(-a * x),
+            "cos": lambda x: mpmath.cos(a * x),
+            "sin": lambda x: mpmath.sin(a * x),
+            "exp_recip": lambda x: mpmath.exp(-a / x) / sqrt(x),
+            "cos_recip": lambda x: mpmath.cos(a / x) / sqrt(x),
+            "erf_weight": lambda x: mpmath.erf(sqrt(a * x)) / sqrt(x),
+            "scaled_erfc_recip": lambda x: mpmath.exp(a / x) * mpmath.erfc(sqrt(a / x)) / sqrt(x),
+            "shifted_recip": lambda x: (x + a) ** -p,
+            "sqrt_shift": lambda x: sqrt((sqrt(x * x + 1) - 1) / (x * x + 1)),
+            "exp_over_x": lambda x: mpmath.exp(-a * x) / x,
+            "im_rsqrt": lambda x: mpmath.im(mpmath.mpc(x, -a) ** mpmath.mpf(-0.5)),
+        }[k.form]
+
+        def eta_n(t):
+            q = mpmath.exp(-2 * mpmath.pi * t)
+            prod, qj = mpmath.mpf(1), q
+            while qj > mpmath.mpf(10) ** -35:
+                prod *= 1 - qj
+                qj *= q
+            return (sqrt(t) * mpmath.exp(-mpmath.pi * t / 12) * prod) ** k.n
+
+        t0 = 1 / mpmath.mpf(lo)
+        mass = mpmath.quad(lambda t: abs(weight(1 / t)) * eta_n(t) / (t * t),
+                           [t0, 2 * t0, mpmath.inf])
+        return float(mass)
+
+
+def _lower_cases():
+    """(kernel, tol) for every eta kernel of the grid and at the domain edges."""
+    cases = set()
+    for spec in verify.default_registry():
+        if callable(spec.kernel):
+            for point in spec.param_grid:
+                cases.add((spec.kernel(point), max(spec.tol / 10.0, 1e-13)))
+    for pair in ("exp", "exp_sqrt", "sin_sqrt"):  # transform_pair_check's f sides
+        for n in (1, 3):
+            cases.add((verify._TP_PAIRS[pair][0](n, 1.0), 1e-10))
+    edges = [("power", 25.7, 1.0), ("power", -5.0, 1.0), ("im_rsqrt", 1e-3, 1.0),
+             ("shifted_recip", 0.0, 0.5), ("shifted_recip", 0.0, 1.0), ("exp_over_x", 0.0, 1.0)]
+    for form, a, p in edges:
+        for n in (1, 3):
+            for tol in (1e-11, 1e-13):
+                cases.add((KernelSpec(form, n, a=a, p=p), tol))
+    return sorted(cases)
+
+
+class TestLowerLimit:
+    """Each eta integral starts at the largest power of two 2^-j <= 1/8
+    whose bound on the clipped mass is <= tol/4."""
+
+    def test_every_eta_form_is_covered(self):
+        covered = {k.form for k, _ in _lower_cases()}
+        assert covered == {name for name, row in FORMS.items() if row.eta}
+
+    @pytest.mark.parametrize("kernel,tol", _lower_cases(), ids=str)
+    def test_bound_covers_the_clipped_mass(self, kernel, tol):
+        _, m, amp = quad._decay_model(kernel)
+        lo, bound = quad._choose_lower(kernel, m, amp, 0.25 * tol)
+        assert math.frexp(lo)[0] == 0.5 and 1e-12 <= lo <= 0.125
+        assert bound == quad._lower_mass_bound(kernel, m, amp, lo) <= 0.25 * tol
+        assert _mp_lower_mass(kernel, lo) <= bound
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_sup_sits_at_the_lower_limit(self, n):
+        # A tiny amplitude meets tol/4 at 1/8, but x^-25.7 x^{-n/2} e^{-n pi/(12 x)}
+        # peaks at n pi/(12 (n/2 + 25.7)): only below it is sup * lo a bound.
+        kernel = KernelSpec("power", n, a=25.7)
+        lo, _ = quad._choose_lower(kernel, -25.7, 1e-300, 2.5e-12)
+        assert lo <= n * math.pi / (12.0 * (0.5 * n + 25.7)) < 2.0 * lo
+
+    def test_result_reports_the_lower_limit(self):
+        kernel = KernelSpec("cos", 1, a=5.0)
+        r = integrate(kernel, 1e-11)
+        _, m, amp = quad._decay_model(kernel)
+        assert (r.lower, r.lower_err) == quad._choose_lower(kernel, m, amp, 0.25e-11)
+        assert r.lower == 2.0**-7
+
+    def test_without_eta_the_limit_stays_zero(self):
+        assert integrate(KernelSpec("sech_aux", 0, a=1.0, p=1.0), 1e-11).lower == 0.0
+        assert integrate(KernelSpec("tp_rhs3_u", 0, a=1.0, p=0.0), 1e-11).lower == 0.0
+
+    def test_breakpoints_are_graded_and_dyadic(self):
+        assert quad._initial_breakpoints(2.0**-7, 4.0, 2.0**-6) == [
+            2.0**e for e in range(-7, 3)
+        ]
+        assert quad._initial_breakpoints(0.0, 1.0) == [0.0, 0.25, 0.5, 1.0]
 
 
 _EPS = 2.220446049250313e-16

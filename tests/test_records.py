@@ -48,6 +48,7 @@ def test_identity_record_keywords_and_defaults():
     assert verify.IdentityRecord._fields == (
         "id", "params", "lhs_value", "lhs_err_est", "rhs_value", "abs_residual",
         "rel_residual", "status", "evals", "ms", "note", "cutoff", "tail_method",
+        "lower", "lower_err", "tail_err",
     )
     rec = _record(cutoff=1.0)
     assert (rec.note, rec.cutoff, rec.tail_method) == ("", 1.0, None)
