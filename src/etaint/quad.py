@@ -31,11 +31,11 @@ Near 0, eta^n(ix) <= x^{-n/2} e^{-n pi/(12 x)} vanishes to all orders,
 and the weight is at most amp x^m (``Form.decay``), so the mass below lo
 is at most lo times the supremum of their product, which sits at lo
 while lo <= n pi/(12 (n/2 - m)).  lo is the largest power of two
-2^-j <= 1/8 whose bound is <= tol/4 (``_choose_lower``), or 1e-12 when
-none is; the bound is ``lower_err`` and stays in the error.  The
-tolerance splits into panels 1/2, tail 1/4 and clipped mass 1/4.
-Whether the weight is finite is checked at x = 1e-12 whatever lo is, so
-the parameter domain does not depend on lo.  Integrands without an eta
+2^-j <= 1/8 where both hold and the bound is <= tol/4 (``_choose_lower``;
+2^-39 always qualifies); the bound is ``lower_err`` and stays in the
+error.  The tolerance splits into panels 1/2, tail 1/4 and clipped mass
+1/4.  Whether the weight is finite is checked at x = 1e-12 whatever lo
+is, so the parameter domain does not depend on lo.  Integrands without an eta
 factor (n = 0) start at 0 or at their own lower limit.
 
 Everything is deterministic: no randomized subdivision, ties broken by
@@ -45,9 +45,9 @@ Panels recur across records: every record starts from the breakpoints
 of ``_initial_breakpoints`` and splits at midpoints.  For n >= 1 they
 are graded geometrically toward the lower limit, lo, 2 lo, 4 lo, ...,
 1/4, 1/2, 1, 2, ..., so the bisection does not walk toward 0 one halving
-at a time; for n = 0 (and for lo = 1e-12) they are lo, then 0.25, 0.5,
-1, 2, ....  Past a 1e-12 or n = 0 limit every endpoint is dyadic, so
-the records of one process form the same panels again and again.  The kernel twins therefore keep a
+at a time; for n = 0 they are lo, then 0.25, 0.5, 1, 2, ....  Past an
+n = 0 limit every endpoint is dyadic, so the records of one process form
+the same panels again and again.  The kernel twins therefore keep a
 per-process memo of eta^n at each panel's 15 nodes, keyed by n, the rule
 and the exact endpoints, holding 1,024 panels; only n >= 1 panels use
 it, so no right-hand side quadrature reads a left-hand side's values.  A
@@ -57,6 +57,7 @@ still counts 15 per panel.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from math import exp, fsum, inf, log, pi, sqrt
@@ -298,68 +299,37 @@ def _adaptive(
     return value, err, evals
 
 
-def _lower_mass_bound(k: KernelSpec, m: float, amp: float, lo: float) -> float:
+def _lower_mass_bound(n: int, m: float, amp: float, lo: float) -> float:
     # sup over (0, lo] of amp x^m * x^{-n/2} e^{-n pi/(12 x)}, times lo; the
-    # sup sits at lo while lo <= n pi/(12 (n/2 - m)).
-    e = (1.0 + m - 0.5 * k.n) * log(lo) - k.n * pi / (12.0 * lo)
-    if e < -745.0:
-        return 0.0
-    # An infinite bound would be an infinite err_est, which the pass rule
-    # |residual| <= 10 err_est would accept.
-    bound = amp * exp(e) if e < 709.0 else math.inf
-    if bound == math.inf:
-        raise DomainError(
-            f"kernel parameter a={k.a:g} of form {k.form!r} is too large:"
-            f" the mass below x={lo:g} cannot be bounded in double precision"
-        )
-    return bound
+    # sup sits at lo while lo <= n pi/(12 (n/2 - m)).  Formed in log space;
+    # inf where it exceeds any double.
+    e = (1.0 + m - 0.5 * n) * log(lo) - n * pi / (12.0 * lo)
+    return amp * exp(e) if e < 709.0 else inf
 
 
-_LN2 = log(2.0)
 # Candidate lower limits 2^-j: from 1/8 down to 2^-39, the last power of
-# two above _LO_CLIP.
+# two above _LO_CLIP.  2^-39 always qualifies: there the exponent of the
+# bound is about -(n pi/12) 2^39 < -1e11, far below any log(tol/amp) or
+# power of lo, and the weight's finiteness at _LO_CLIP keeps n/2 - m small.
 _LOWER_J = range(3, 40)
-# (n, m, amp, tol_lower) -> (lo, bound): most records of a process share
-# their weight's decay model and tolerance.  Cleared when full.
-_LOWER_CACHE: dict[tuple[int, float, float, float], tuple[float, float]] = {}
-_LOWER_CACHE_SIZE = 1024
 
 
-def _choose_lower(
-    k: KernelSpec, m: float, amp: float, tol_lower: float
-) -> tuple[float, float]:
-    """(lo, its clipped-mass bound): the largest lo = 2^-j <= 1/8 with a
-    bound <= tol_lower, else _LO_CLIP."""
-    key = (k.n, m, amp, tol_lower)
-    hit = _LOWER_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if len(_LOWER_CACHE) >= _LOWER_CACHE_SIZE:
-        _LOWER_CACHE.clear()
-    _LOWER_CACHE[key] = hit = _search_lower(k, m, amp, tol_lower)
-    return hit
-
-
-def _search_lower(
-    k: KernelSpec, m: float, amp: float, tol_lower: float
-) -> tuple[float, float]:
-    # In log space on exact powers of two, a few multiply-adds per
-    # candidate; _lower_mass_bound then confirms the candidate, so rounding
-    # in the log-space test cannot let a larger bound through.
-    c = k.n * pi / 12.0
-    q = 1.0 + m - 0.5 * k.n  # the power of lo in the bound
-    rise = 0.5 * k.n - m  # the sup sits at lo while c 2^j >= rise
-    need = log(amp) - log(tol_lower)  # c 2^j + q j ln 2 must reach it
-    x = 8.0
+# Keyed by the decay model, not the kernel: records of one form mostly
+# share (m, amp) whatever their parameter (a cos or exp sweep hits), but
+# not x^-s, whose m = -s moves with every point of a sweep.
+@functools.lru_cache(maxsize=1024)
+def _choose_lower(n: int, m: float, amp: float, tol_lower: float) -> tuple[float, float]:
+    """(lo, its clipped-mass bound): the largest lo = 2^-j <= 1/8 whose
+    bound is <= tol_lower and holds (lo <= n pi/(12 (n/2 - m)))."""
+    c = n * pi / 12.0
+    rise = 0.5 * n - m
     for j in _LOWER_J:
-        cx = c * x
-        if cx >= rise and cx + q * j * _LN2 >= need:
-            lo = 1.0 / x
-            mass = _lower_mass_bound(k, m, amp, lo)
+        lo = math.ldexp(1.0, -j)
+        if c / lo >= rise:
+            mass = _lower_mass_bound(n, m, amp, lo)
             if mass <= tol_lower:
                 return lo, mass
-        x *= 2.0
-    return _LO_CLIP, _lower_mass_bound(k, m, amp, _LO_CLIP)
+    raise DomainError(f"no lower limit above x={_LO_CLIP:g} bounds the clipped mass")
 
 
 def _check_tol(tol: float, floor: float) -> float:
@@ -380,7 +350,9 @@ def integrate(
 
     ``cutoff`` overrides the point where quadrature stops (used by the
     cutoff-robustness checks); for the series-correction forms it must
-    be >= 1.  Raises NonConvergenceError when the evaluation budget is
+    be >= 1, for the others it must exceed the lower limit
+    ``QuadResult.lower``: 0 without an eta factor, a power of two <= 1/8
+    with one, so any cutoff > 1/8 is accepted.  Raises NonConvergenceError when the evaluation budget is
     exhausted before the panel sum reaches the tolerance; raises
     DomainError for parameters outside the kernel's validity range.
     """
@@ -392,8 +364,8 @@ def integrate(
     rate, m, amp = _decay_model(kernel)
     if rate <= 0.0:
         raise DomainError(f"kernel {kernel.form!r} has no decaying tail model")
-    # Before any panel: a parameter whose weight or clipped mass overflows
-    # at x = 1e-12 is rejected, whatever the lower limit.
+    # Before any panel: a parameter whose weight overflows at x = 1e-12 is
+    # rejected, whatever the lower limit.
     lo = mass = 0.0
     first = 0.25
     if kernel.n >= 1:
@@ -402,11 +374,10 @@ def integrate(
         ):
             raise DomainError(
                 f"kernel parameter a={kernel.a:g} of form {kernel.form!r} is too large:"
-                f" the weight overflows at x={_LO_CLIP:g}, the lowest lower limit"
+                f" the weight overflows at x={_LO_CLIP:g}"
             )
-        lo, mass = _choose_lower(kernel, m, amp, 0.25 * tol)
-        if lo != _LO_CLIP:
-            first = 2.0 * lo
+        lo, mass = _choose_lower(kernel.n, m, amp, 0.25 * tol)
+        first = 2.0 * lo
     laplace_tail = F.FORMS[kernel.form].laplace_tail
     if laplace_tail is not None:
         hi = _SERIES_SPLIT if cutoff is None else float(cutoff)
@@ -424,7 +395,9 @@ def integrate(
         else:
             hi = float(cutoff)
             if not (math.isfinite(hi) and hi > lo):
-                raise DomainError(f"cutoff must exceed the lower limit, got {cutoff!r}")
+                raise DomainError(
+                    f"cutoff must exceed the lower limit {lo:g}, got {cutoff!r}"
+                )
             tail = _tail_integral_bound(rate, m, amp, hi)
     value, perr, evals = _adaptive(
         kernel.form_id, kernel.n, kernel.a, kernel.p, lo, hi, 0.5 * tol, max_evals,

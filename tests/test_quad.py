@@ -297,9 +297,9 @@ class TestLowerLimit:
     @pytest.mark.parametrize("kernel,tol", _lower_cases(), ids=str)
     def test_bound_covers_the_clipped_mass(self, kernel, tol):
         _, m, amp = quad._decay_model(kernel)
-        lo, bound = quad._choose_lower(kernel, m, amp, 0.25 * tol)
+        lo, bound = quad._choose_lower(kernel.n, m, amp, 0.25 * tol)
         assert math.frexp(lo)[0] == 0.5 and 1e-12 <= lo <= 0.125
-        assert bound == quad._lower_mass_bound(kernel, m, amp, lo) <= 0.25 * tol
+        assert bound == quad._lower_mass_bound(kernel.n, m, amp, lo) <= 0.25 * tol
         assert _mp_lower_mass(kernel, lo) <= bound
 
     @pytest.mark.parametrize("n", [1, 3])
@@ -307,14 +307,28 @@ class TestLowerLimit:
         # A tiny amplitude meets tol/4 at 1/8, but x^-25.7 x^{-n/2} e^{-n pi/(12 x)}
         # peaks at n pi/(12 (n/2 + 25.7)): only below it is sup * lo a bound.
         kernel = KernelSpec("power", n, a=25.7)
-        lo, _ = quad._choose_lower(kernel, -25.7, 1e-300, 2.5e-12)
+        lo, _ = quad._choose_lower(kernel.n, -25.7, 1e-300, 2.5e-12)
         assert lo <= n * math.pi / (12.0 * (0.5 * n + 25.7)) < 2.0 * lo
+
+    def test_an_overflowing_bound_moves_the_limit_down(self):
+        # amp x^m overflows a double at the first candidates: they are skipped
+        lo, bound = quad._choose_lower(3, -25.7, 1e300, 2.5e-14)
+        assert quad._lower_mass_bound(3, -25.7, 1e300, 2.0 * lo) > 2.5e-14
+        assert 2.0**-39 <= lo and bound <= 2.5e-14
+
+    def test_cutoff_must_exceed_the_lower_limit(self):
+        kernel = KernelSpec("exp_over_x", 1, a=100.0)
+        lower = integrate(kernel, 1e-11).lower
+        # any cutoff above 1/8 is accepted
+        assert integrate(kernel, 1e-11, cutoff=0.2).lower == lower < 0.125
+        with pytest.raises(DomainError, match="exceed the lower limit"):
+            integrate(kernel, 1e-11, cutoff=lower)
 
     def test_result_reports_the_lower_limit(self):
         kernel = KernelSpec("cos", 1, a=5.0)
         r = integrate(kernel, 1e-11)
         _, m, amp = quad._decay_model(kernel)
-        assert (r.lower, r.lower_err) == quad._choose_lower(kernel, m, amp, 0.25e-11)
+        assert (r.lower, r.lower_err) == quad._choose_lower(kernel.n, m, amp, 0.25e-11)
         assert r.lower == 2.0**-7
 
     def test_without_eta_the_limit_stays_zero(self):
