@@ -6,10 +6,11 @@
  * etaint._forms.  Building needs only a C compiler and the Python headers.
  *
  * The panel has two rules: cos/sin kernels on a panel with
- * c = p1 (b - a)/2 > 14 use a Filon-Clenshaw-Curtis rule (eta^n at 15
+ * c = p1 (b - a)/2 > 3 use a Filon-Clenshaw-Curtis rule (eta^n at 15
  * Chebyshev-Lobatto nodes, integrated against cos/sin exactly through
- * Chebyshev moments; c > 14 keeps the moments' forward recurrence
- * stable), every other panel is Gauss-Kronrod 7/15.
+ * Chebyshev moments: by forward recurrence for c > 14, and for c <= 14 by
+ * forward recurrence below degree c and a boundary-value solve above),
+ * every other panel is Gauss-Kronrod 7/15.
  *
  * Panels recur: the adaptive quadrature of every record starts from
  * dyadic breakpoints (with an eta factor, powers of two graded from a
@@ -73,9 +74,14 @@ static const double WG[4] = {
     0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 };
 
-/* Filon panels: cos(i pi/14), i = 0..14, the Chebyshev-Lobatto nodes, and
- * the Clenshaw-Curtis weights of nodes j and 14 - j on [-1, 1] (j = 0..7). */
-static const double FILON_C_MIN = 14.0;
+/* Filon panels from c = p1 (b - a)/2 > FILON_C_MIN; their moments come by
+ * forward recurrence above FORWARD_C_MIN and by a boundary-value solve up
+ * to degree MU_TOP below it (see moments).  Then cos(i pi/14), i = 0..14,
+ * the Chebyshev-Lobatto nodes, and the Clenshaw-Curtis weights of nodes j
+ * and 14 - j on [-1, 1] (j = 0..7). */
+static const double FILON_C_MIN = 3.0;
+static const double FORWARD_C_MIN = 14.0;
+#define MU_TOP 40
 static const double CHEB[15] = {
     1.0, 0.974927912181823607018131682993931217,
     0.900968867902419126236102319507445051, 0.781831482468029808708444526674057750,
@@ -340,21 +346,47 @@ static double integrand(int form, int n, double p1, double p2, double x)
     return w * eta3_point(x);
 }
 
-/* int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) (k odd), k = 0..14, by
- * forward recurrence (stable for c > 14). */
+/* mu_{b+1}..mu_14 from the recurrence at k = b + 1..MU_TOP as a tridiagonal
+ * system between mu_b and mu_41's leading term, eliminated from the top
+ * row down (mu_k = f_k + g_k mu_{k-1}) and substituted from mu_b up; see
+ * _moments_bvp in the Python twin. */
+static void moments_bvp(double c, double sc, double cc, int b, double mu[15])
+{
+    double fk[MU_TOP + 1], gk[MU_TOP + 1];
+    double ro = -4.0 * sc, re = 4.0 * cc;
+    double f = -2.0 * sc / 1680.0, g = 0.0; /* mu_41 (41 is odd) */
+    for (int k = MU_TOP; k > b; k--) {
+        double d = k % 2 ? 2.0 * (k * k - 1) : -2.0 * (k * k - 1);
+        double cu = c * (k - 1.0);
+        double den = d + cu * g;
+        f = ((k % 2 ? ro : re) - cu * f) / den;
+        g = c * (k + 1.0) / den;
+        fk[k] = f;
+        gk[k] = g;
+    }
+    for (int k = b + 1; k < 15; k++)
+        mu[k] = fk[k] + gk[k] * mu[k - 1];
+}
+
+/* int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) (k odd), k = 0..14, c > 3:
+ * closed forms to mu_2, the forward recurrence while k stays below c (to
+ * mu_14 for c > 14, else to mu_b, b = (int)c - 1), then moments_bvp. */
 static void moments(double c, double mu[15])
 {
     double sc = sin(c), cc = cos(c);
     mu[0] = 2.0 * sc / c;
     mu[1] = 2.0 * (sc - c * cc) / (c * c);
     mu[2] = 4.0 * (sc / c + 2.0 * cc / (c * c) - 2.0 * sc / (c * c * c)) - mu[0];
-    for (int k = 2; k < 14; k++) {
+    int b = c > FORWARD_C_MIN ? 14 : (int)c - 1;
+    for (int k = 2; k < b; k++) {
         double ratio = (double)(k + 1) / (double)(k - 1);
         if (k % 2 == 1)
             mu[k + 1] = -4.0 * sc / (c * (k - 1)) - 2.0 * (k + 1) * mu[k] / c + ratio * mu[k - 1];
         else
             mu[k + 1] = 4.0 * cc / (c * (k - 1)) + 2.0 * (k + 1) * mu[k] / c + ratio * mu[k - 1];
     }
+    if (b < 14)
+        moments_bvp(c, sc, cc, b, mu);
 }
 
 /* Filon-Clenshaw-Curtis panel of cos/sin(p1 x) eta^n(ix), c = p1 hl; see

@@ -9,13 +9,16 @@ integrand use), ``kernel_weight``, ``integrand`` and ``panel`` (one
 quadrature panel: 15 evaluations of the integrand or of its eta factor).
 
 ``panel`` has two rules.  The cos and sin kernels on a panel with
-c = p1 (b - a)/2 > 14 (more than 14/pi, about 4.5, periods), use a
+c = p1 (b - a)/2 > 3 (more than 3/pi, about 1, period), use a
 Filon-Clenshaw-Curtis rule: eta^n is interpolated at 15 Chebyshev-Lobatto
 nodes and the interpolant is integrated against cos/sin exactly through
 Chebyshev moments (the rule of QUADPACK's qawo), so the panel count
 follows eta, not the oscillation.  Every other panel is Gauss-Kronrod
-7/15.  c > 14 keeps the moments' forward recurrence stable: it needs c
-above the top degree.
+7/15.  The moments' forward recurrence is stable only while the degree
+stays below c: for c > 14 it gives all 15, for 3 < c <= 14 it runs to
+degree int(c) - 1 and the rest come from the same recurrence solved as a
+boundary-value problem up to degree 40 (QUADPACK's qc25f does the same
+for 2 < c <= 24).
 
 Panels recur.  The adaptive quadrature of every record starts from
 dyadic breakpoints (with an eta factor, powers of two graded from a lower
@@ -76,10 +79,20 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
-# Filon panels: cos(i pi/14), i = 0..14, the Chebyshev-Lobatto nodes; the
-# Clenshaw-Curtis weights of nodes j and 14 - j on [-1, 1] (j = 0..7); and
-# the cosine of node j times degree k, cos(jk pi/14), for the DCT-I.
-_FILON_C_MIN = 14.0
+# Filon panels from c = p1 (b - a)/2 > _FILON_C_MIN; their moments come by
+# forward recurrence above _FORWARD_C_MIN and by a boundary-value solve up to
+# degree _MU_TOP below it (see _moments).  Then cos(i pi/14), i = 0..14, the
+# Chebyshev-Lobatto nodes; the Clenshaw-Curtis weights of nodes j and 14 - j
+# on [-1, 1] (j = 0..7); and the cosine of node j times degree k,
+# cos(jk pi/14), for the DCT-I.
+_FILON_C_MIN = 3.0
+_FORWARD_C_MIN = 14.0
+_MU_TOP = 40
+# Row k of the moments' recurrence (see _moments): (k + 1, d_k, k - 1).
+_MU_ROWS = tuple(
+    (k + 1.0, 2.0 * (k * k - 1) if k % 2 else -2.0 * (k * k - 1), k - 1.0)
+    for k in range(_MU_TOP + 1)
+)
 _CHEB = (
     1.0,
     0.974927912181823607018131682993931217,
@@ -299,9 +312,14 @@ def integrand(form: int, n: int, p1: float, p2: float, x: float) -> float:
 
 
 def _moments(c: float) -> list[float]:
-    """int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) (k odd), k = 0..14.
+    """int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) (k odd), k = 0..14, c > 3.
 
-    Forward recurrence, stable for c > 14 (above the top degree).
+    mu_0..mu_2 in closed form, then the recurrence
+    c (k - 1) mu_{k+1} + d_k mu_k - c (k + 1) mu_{k-1} = r_k, with
+    d_k = 2 (k^2 - 1), r_k = -4 sin c for odd k and d_k = -2 (k^2 - 1),
+    r_k = 4 cos c for even k, forward while k stays below c, where it is
+    stable: to mu_14 for c > 14, else to mu_b, b = int(c) - 1, and the rest
+    by ``_moments_bvp``.
     """
     sc = sin(c)
     cc = cos(c)
@@ -309,7 +327,8 @@ def _moments(c: float) -> list[float]:
     mu[0] = 2.0 * sc / c
     mu[1] = 2.0 * (sc - c * cc) / (c * c)
     mu[2] = 4.0 * (sc / c + 2.0 * cc / (c * c) - 2.0 * sc / (c * c * c)) - mu[0]
-    for k in range(2, 14):
+    b = 14 if c > _FORWARD_C_MIN else int(c) - 1
+    for k in range(2, b):
         if k % 2 == 1:
             mu[k + 1] = (
                 -4.0 * sc / (c * (k - 1))
@@ -322,7 +341,43 @@ def _moments(c: float) -> list[float]:
                 + 2.0 * (k + 1) * mu[k] / c
                 + (k + 1) / (k - 1) * mu[k - 1]
             )
+    if b < 14:
+        _moments_bvp(c, sc, cc, b, mu)
     return mu
+
+
+def _moments_bvp(c: float, sc: float, cc: float, b: int, mu: list[float]) -> None:
+    """mu_{b+1}..mu_14 from the recurrence as a boundary-value problem.
+
+    Forward, the recurrence amplifies rounding once k exceeds c.  Its rows
+    k = b + 1..40 (_MU_TOP) form a tridiagonal system in mu_{b+1}..mu_40
+    between the known mu_b and mu_41 ~ -2 sin c/(41^2 - 1), the leading
+    term of its expansion in 1/k (Piessens and Branders, 1975; the top's
+    error has decayed below rounding by degree 14).  Elimination runs from
+    the top row down, so each row k gives mu_k = f_k + g_k mu_{k-1}, and
+    substitution from mu_b up.  It needs no pivoting: each pivot
+    d_k + c (k - 1) g_{k+1} keeps more than half the size of its larger
+    term (0.56 at worst over 11,000 c in (3, 14]).  The lower end
+    matters: the solve amplifies an error there by the decaying
+    solution's ratio to its value at the end, which nearly vanishes at
+    degree 2 for some c (with mu_2 as the end, c = 8.42 gave errors of
+    1.8e4 eps/c, against at most 60 eps/c from b over 3,000 c).
+    """
+    ro = -4.0 * sc  # right-hand side of the odd rows, times c (k - 1)
+    re = 4.0 * cc  # of the even rows
+    f = -2.0 * sc / 1680.0  # mu_41 (41 is odd)
+    g = 0.0
+    fg = []
+    for k in range(_MU_TOP, b, -1):
+        kp, d, km = _MU_ROWS[k]
+        cu = c * km
+        den = d + cu * g
+        f = ((ro if k % 2 else re) - cu * f) / den
+        g = c * kp / den
+        fg.append((f, g))
+    for k in range(b + 1, 15):
+        f, g = fg[_MU_TOP - k]
+        mu[k] = f + g * mu[k - 1]
 
 
 def _filon(

@@ -4,12 +4,13 @@ Strategy: adaptively bisect [lo, X] (worst panel first) with the
 backend's 15-evaluation panel and account for [X, inf) by one of three
 tail methods (``QuadResult.tail_method``).  The panel rule is nested
 Gauss-Kronrod 7/15, except for the cos and sin weights on a panel with
-c = a (b - a)/2 > 14: there a Filon-Clenshaw-Curtis rule samples
+c = a (b - a)/2 > 3: there a Filon-Clenshaw-Curtis rule samples
 eta^n(ix) at 15 Chebyshev-Lobatto nodes and integrates cos/sin(a x)
 against its interpolant exactly through Chebyshev moments (QUADPACK's
-qawo), so the panel count follows eta rather than the oscillation and
-does not grow with a.  The switch sits in the kernel twins; this driver
-sees one panel function.  Tail methods:
+qawo; the moments by forward recurrence for c > 14, by a boundary-value
+solve of the same recurrence below), so the panel count follows eta
+rather than the oscillation and does not grow with a.  The switch sits
+in the kernel twins; this driver sees one panel function.  Tail methods:
 
 * ``series-correction`` -- the exp, cos and sin weights (the forms with
   a ``laplace_tail``).  X = 1, the point where the kernels switch from
@@ -203,8 +204,10 @@ def _choose_cutoff(
         if b <= tol_tail:
             return x, b
         if x > 1e5:
-            raise NonConvergenceError(
-                f"no cutoff below 1e5 reaches tail tolerance {tol_tail}"
+            # A property of the integrand, not a budget the quadrature ran out of.
+            raise DomainError(
+                f"no cutoff below x=1e5 bounds the integrand's tail"
+                f" (decay x^{m:g} e^(-{rate:g} x)) to {tol_tail:g}"
             )
         x *= 1.5
 
@@ -352,9 +355,12 @@ def integrate(
     cutoff-robustness checks); for the series-correction forms it must
     be >= 1, for the others it must exceed the lower limit
     ``QuadResult.lower``: 0 without an eta factor, a power of two <= 1/8
-    with one, so any cutoff > 1/8 is accepted.  Raises NonConvergenceError when the evaluation budget is
-    exhausted before the panel sum reaches the tolerance; raises
-    DomainError for parameters outside the kernel's validity range.
+    with one, so any cutoff > 1/8 is accepted, and the tail beyond it
+    must have a finite bound.  Raises NonConvergenceError when the
+    evaluation budget is exhausted before the panel sum reaches the
+    tolerance; raises DomainError for parameters outside the kernel's
+    validity range, a cutoff as above, or a tail no cutoff below 1e5
+    bounds.
     """
     if not isinstance(kernel, KernelSpec):
         raise DomainError("kernel must be a KernelSpec")
@@ -399,6 +405,11 @@ def integrate(
                     f"cutoff must exceed the lower limit {lo:g}, got {cutoff!r}"
                 )
             tail = _tail_integral_bound(rate, m, amp, hi)
+            if tail == inf:
+                raise DomainError(
+                    f"the integrand's tail beyond cutoff={hi:g} (decay x^{m:g}"
+                    f" e^(-{rate:g} x)) has no finite bound there; choose a larger cutoff"
+                )
     value, perr, evals = _adaptive(
         kernel.form_id, kernel.n, kernel.a, kernel.p, lo, hi, 0.5 * tol, max_evals,
         first,

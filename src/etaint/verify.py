@@ -395,6 +395,9 @@ def registry_by_id() -> dict[str, IdentitySpec]:
 
 
 def _pass_status(abs_residual: float, tol: float, lhs_err: float) -> str:
+    # An infinite (or NaN) error estimate would pass any residual.
+    if not math.isfinite(lhs_err):
+        return "fail"
     return "pass" if abs_residual <= max(tol, 10.0 * lhs_err) else "fail"
 
 

@@ -89,17 +89,20 @@ class TestTwins:
             args = (form, n, p1, p2, x, x * (1.0 + rng.random()))
             assert py.integrand(*args[:5]) == cy.integrand(*args[:5]), args
             assert _same_twice(py, cy, args), args
-        # cos/sin panels on both sides of the Filon switch c = p1 (b - a)/2 > 14.
-        filon = 0
+        # cos/sin panels on both sides of the Filon switch c = p1 (b - a)/2 > 3
+        # and of the moments' switch from the boundary-value solve to the
+        # forward recurrence at c = 14: GK15, solved and forward Filon panels.
+        rules = [0, 0, 0]
         for _ in range(2_000):
             form = rng.choice((F.FORM_COS, F.FORM_SIN))
             n = rng.choice((1, 3))
             p1 = 10 ** rng.uniform(0.0, 6.0)
             a = 10 ** rng.uniform(-12.0, 0.0)
             args = (form, n, p1, 0.0, a, a + 10 ** rng.uniform(-4.0, 0.0))
-            filon += p1 * 0.5 * (args[5] - a) > 14.0
+            c = p1 * 0.5 * (args[5] - a)
+            rules[(c > 3.0) + (c > 14.0)] += 1
             assert _same_twice(py, cy, args), args
-        assert 500 < filon < 1_500
+        assert min(rules) > 150, rules
 
     @pytest.mark.parametrize("form,n,p1,p2", CASES)
     def test_panels_match(self, form, n, p1, p2):
@@ -202,8 +205,10 @@ def test_c_source_compiles_warning_free(tmp_path):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     assert mod.BACKEND_NAME == "compiled"
-    args = (F.FORM_COS, 1, 5.0, 0.0, 0.1, 0.2)
-    assert mod.panel(*args) == mod.panel(*args) == _BACKENDS["python"].panel(*args)
+    # GK15 (c = 0.25), Filon with solved moments (c = 10) and forward ones (c = 25)
+    for args in [(F.FORM_COS, 1, 5.0, 0.0, 0.1, 0.2), (F.FORM_SIN, 3, 80.0, 0.0, 0.25, 0.5),
+                 (F.FORM_COS, 1, 5000.0, 0.0, 0.01, 0.02)]:
+        assert mod.panel(*args) == mod.panel(*args) == _BACKENDS["python"].panel(*args)
 
 
 @needs_compiled

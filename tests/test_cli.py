@@ -90,6 +90,22 @@ class TestParameterEdges:
         assert "cannot be bounded" in err
 
 
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_a15_whose_tail_no_cutoff_bounds_is_usage_error(backend):
+    # x^100000 eta^3 still grows at x = 1e5: a property of the parameter,
+    # not an exhausted budget (it used to read as a `fail` with 0 evaluations)
+    if backend not in available_backends():
+        pytest.skip("compiled kernel core not built")
+    proc = subprocess.run(
+        [sys.executable, "-m", "etaint.cli", "eval", "--identity", "A15", "--param", "n=100000"],
+        env=subprocess_env(pure=backend == "python"), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == cli.USAGE_ERROR and proc.stdout == ""
+    assert proc.stderr.startswith("error: A15 at n=100000: no cutoff below")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "ident,param", [("EQ7", "s=30"), ("EQ7", "s=60"), ("EQ7", "s=100"), ("EQ7", "s=150"),
                     ("A3", "nu=30"), ("A3", "nu=200")]
@@ -424,6 +440,27 @@ def test_run_all_stays_under_its_evaluation_ceiling(backend):
     suite = json.loads(out)["suite"]
     assert suite["backend"] == backend
     assert suite["totals"]["evals"] <= 13_000
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_fourier_grid_stays_under_its_evaluation_ceiling(backend):
+    # EQ8/EQ10/A11/A12 at y = 50:400:50: Filon panels from c > 3, with
+    # moments from the boundary-value solve below c = 14, need 8,610
+    # evaluations (19,470 with Filon panels from c > 14 only).
+    if backend not in available_backends():
+        pytest.skip("compiled kernel core not built")
+    total = 0
+    for ident in ("EQ8", "EQ10", "A11", "A12"):
+        out = subprocess.run(
+            [sys.executable, "-m", "etaint.cli", "table", "--identity", ident,
+             "--param", "y=50:400:50", "--format", "json"],
+            env=subprocess_env(pure=backend == "python"),
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        suite = json.loads(out)["suite"]
+        assert suite["backend"] == backend and suite["totals"]["pass"] == 8
+        total += suite["totals"]["evals"]
+    assert total <= 9_000
 
 
 _STARTUP_PROBE = (

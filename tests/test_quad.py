@@ -141,6 +141,18 @@ class TestEngineContracts:
         with pytest.raises(DomainError, match="cannot be bounded"):
             integrate(KernelSpec("power", n, a=a))
 
+    def test_cutoff_with_unbounded_tail_raises(self):
+        # x^3 eta(ix) still grows at x = 2: no finite tail bound there, and an
+        # infinite err_est would pass any residual
+        with pytest.raises(DomainError, match="cutoff=2 .* no finite bound"):
+            integrate(KernelSpec("power", 1, a=-3.0), cutoff=2.0)
+        assert math.isfinite(integrate(KernelSpec("power", 1, a=-3.0), 1e-6, cutoff=100.0).err_est)
+
+    def test_tail_that_no_cutoff_bounds_raises(self):
+        # x^100000 e^(-pi x/4) still grows at x = 1e5
+        with pytest.raises(DomainError, match="no cutoff below x=1e5"):
+            integrate(KernelSpec("power", 3, a=-1e5))
+
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
             integrate(KernelSpec("exp", 1, a=0.0), 1e-14)
@@ -407,38 +419,51 @@ def _mp_panel(form: int, n: int, y: float, a: float, b: float) -> float:
 
 
 class TestFilonPanel:
-    """cos/sin panels with c = p1 (b - a)/2 > 14 use the Filon-Clenshaw-Curtis
+    """cos/sin panels with c = p1 (b - a)/2 > 3 use the Filon-Clenshaw-Curtis
     rule: 15 eta samples, the oscillation integrated exactly by moments."""
 
+    # c <= 14: forward recurrence to degree int(c) - 1, then the boundary-value
+    # solve; 8.4175 and 13.043 are the worst points of a 3,000-point scan of
+    # [3, 14] (with mu_2 as the solve's lower end 8.4175 was off by 1.8e4 eps/c).
     @pytest.mark.parametrize(
-        "c", [14.000001, 14.5, 17.96, 20.0, 31.4159, 100.0, 1e3, 12345.678, 1e5, 1e6]
+        "c",
+        [3.000001, 3.5, 5.0, 7.7, 8.4175, 10.0, 13.043, 13.9, 14.0,
+         14.000001, 14.5, 17.96, 20.0, 31.4159, 100.0, 1e3, 12345.678, 1e5, 1e6],
     )
     def test_moments_match_mpmath(self, c):
         got = _pykernels._moments(c)
         want = _mp_moments(c)
         for k in range(15):
-            # the moments are O(1/c); the recurrence keeps 100 eps of that
+            # the moments are O(1/c); both methods keep 100 eps of that
             assert abs(got[k] - want[k]) <= 100.0 * _EPS / c, (k, got[k], want[k])
 
     def test_err_est_bounds_the_true_error(self):
-        # The engine's panels: [1e-12, 2^-l] and dyadic pieces of [0, 1].
-        # Besides err_est, allow for the rounding of the weight's argument
-        # p1 x itself (eps p1 b times the mass) and the reference's 1e-29.
+        # The engine's panels: [1e-12, 2^-l], dyadic pieces of [0, 1] and the
+        # graded panels [2^-j, 2^(1-j)] toward the lower limit.  Besides
+        # err_est, allow for the rounding of the weight's argument p1 x
+        # itself (eps p1 b times the mass) and the reference's 1e-29.
         rng = random.Random(7)
-        checked = 0
-        while checked < 120:
+        checked = small_c = 0
+        while checked < 160:
             form = rng.choice((F.FORM_COS, F.FORM_SIN))
             n = rng.choice((1, 3))
-            y = 10 ** rng.uniform(1.5, 6.0)
-            level = rng.randint(2, 12)
-            j = 0 if rng.random() < 0.2 else rng.randrange(2**level)
-            a, b = max(j / 2**level, 1e-12), (j + 1) / 2**level
-            if y * 0.5 * (b - a) <= 14.0:
+            y = 10 ** rng.uniform(0.5, 6.0)
+            if rng.random() < 0.25:
+                j = rng.randint(1, 9)
+                a, b = 2.0**-j, 2.0 ** (1 - j)
+            else:
+                level = rng.randint(0, 12)
+                j = 0 if rng.random() < 0.2 else rng.randrange(2**level)
+                a, b = max(j / 2**level, 1e-12), (j + 1) / 2**level
+            c = y * 0.5 * (b - a)
+            if c <= 3.0:
                 continue
             checked += 1
+            small_c += c <= 14.0
             value, err, resabs = _backend.panel(form, n, y, 0.0, a, b)
             true_err = abs(value - _mp_panel(form, n, y, a, b))
             assert true_err <= err + _EPS * y * b * resabs + 1e-29, (form, n, y, a, b)
+        assert small_c >= 40
 
     @pytest.mark.parametrize("form", [F.FORM_COS, F.FORM_SIN])
     def test_fifteen_samples_resolve_any_frequency(self, form):

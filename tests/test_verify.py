@@ -82,6 +82,13 @@ class TestVerifyIdentity:
         assert rec.status == "fail"
         assert "synthetic budget exhaustion" in rec.note
 
+    @pytest.mark.parametrize("lhs_err", [math.inf, math.nan])
+    def test_non_finite_error_estimate_fails(self, lhs_err):
+        # max(tol, 10 * inf) would pass any residual
+        assert verify._pass_status(1.0, 1e-9, lhs_err) == "fail"
+        assert verify._pass_status(0.0, 1e-9, lhs_err) == "fail"
+        assert verify._pass_status(0.0, 1e-9, 1e-12) == "pass"
+
     def test_missing_parameter_is_a_domain_error(self):
         reg = {spec.id: spec for spec in verify.default_registry()}
         with pytest.raises(DomainError, match="EQ5 takes parameters: t; got: none"):
@@ -115,7 +122,9 @@ class TestFourierLargeY:
     def test_err_est_bounds_the_true_error(self, ident):
         # against the 30-digit right-hand side, not the 10 x err_est pass rule
         rng = random.Random(11)
-        ys = [500.0, 2e3, 9999.0, 2e4, 1e5, 1e6] + [10 ** rng.uniform(1.7, 6.0) for _ in range(6)]
+        # y below 500: panels with 3 < c <= 14 take the Filon rule with solved moments
+        ys = [12.2, 24.97, 50.0, 150.0, 500.0, 2e3, 9999.0, 2e4, 1e5, 1e6]
+        ys += [10 ** rng.uniform(1.7, 6.0) for _ in range(6)]
         for y in ys:
             rec = verify.verify_identity(verify.registry_by_id()[ident], {"y": y})
             true_err = abs(rec.lhs_value - fourier_rhs_mp(ident, y))
