@@ -423,8 +423,8 @@ class TestFilonPanel:
     rule: 15 eta samples, the oscillation integrated exactly by moments."""
 
     # c <= 14: forward recurrence to degree int(c) - 1, then the boundary-value
-    # solve; 8.4175 and 13.043 are the worst points of a 3,000-point scan of
-    # [3, 14] (with mu_2 as the solve's lower end 8.4175 was off by 1.8e4 eps/c).
+    # solve.  13.043 is the worst point of a 3,000-point scan of [3, 14];
+    # 8.4175 was the worst, off by 1.8e4 eps/c, with mu_2 as the solve's lower end.
     @pytest.mark.parametrize(
         "c",
         [3.000001, 3.5, 5.0, 7.7, 8.4175, 10.0, 13.043, 13.9, 14.0,
