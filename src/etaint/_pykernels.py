@@ -363,8 +363,8 @@ def _moments_bvp(c: float, sc: float, cc: float, b: int, mu: list[float]) -> Non
     degree 2 for some c (with mu_2 as the end, c = 8.42 gave errors of
     1.8e4 eps/c, against at most 60 eps/c from b over 3,000 c).
     """
-    ro = -4.0 * sc  # right-hand side of the odd rows, times c (k - 1)
-    re = 4.0 * cc  # of the even rows
+    ro = -4.0 * sc  # r_k of the odd rows
+    re = 4.0 * cc  # and of the even ones
     f = -2.0 * sc / 1680.0  # mu_41 (41 is odd)
     g = 0.0
     fg = []
