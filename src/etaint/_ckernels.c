@@ -18,15 +18,21 @@
  * ...) and bisects at midpoints, so the records of one process keep
  * forming the same panels [a, b], and eta^n at a panel's 15 nodes does
  * not depend on the weight.
- * `panel` keeps those node values in a static direct-mapped table of
- * MEMO_SIZE = 1024 panels (about 150 KB), keyed by n, the rule (GK15 and
- * Filon nodes differ) and the exact doubles a and b; a colliding panel
- * replaces the slot's entry.  On a hit only the weight is evaluated.
- * Panels with n = 0 (the auxiliary integrands, right-hand sides among
- * them) bypass the table, so no right-hand side reads a value computed
- * for a left-hand side.  Sums run in the same order either way, so a hit
- * and a miss give the same result to the bit.  The table is touched only
- * with the GIL held.
+ * `panel` keeps what each rule consumes of those node values in a static
+ * direct-mapped table of MEMO_SIZE = 1024 panels (24 doubles each, about
+ * 225 KB), keyed by n, the rule (GK15 and Filon nodes differ) and the
+ * exact doubles a and b; a colliding panel replaces the slot's entry.  A
+ * GK15 entry holds the 15 node values, so a hit evaluates only the
+ * weight; a Filon entry holds their 15 + 8 DCT sums and |g| sum
+ * (cheb_sums), so a hit does 15 multiply-adds with the moments plus
+ * cos/sin(p1 centr).  Panels with n = 0 (the auxiliary integrands,
+ * right-hand sides among them) bypass the table, so no right-hand side
+ * reads a value computed for a left-hand side.  The moments depend only
+ * on c, which recurs with the dyadic panel widths, so `moments` keeps a
+ * second direct-mapped table of MU_MEMO_SIZE = 256 moment sets (32 KB)
+ * keyed by the exact c.  Sums run in the same order either way, so a hit
+ * and a miss give the same result to the bit.  The tables are touched
+ * only with the GIL held.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -104,16 +110,36 @@ static const double WCC[8] = {
 enum rule_id { RULE_GK15 = 0, RULE_FILON = 1 };
 static const double *const NODES[2] = {XGK, CHEB};
 
-#define MEMO_SIZE 1024 /* a power of two */
+#define MEMO_SIZE 1024   /* a power of two */
+#define MU_MEMO_SIZE 256 /* a power of two */
+
+/* What a Filon panel consumes of eta^n: the DCT-I sums s14_k (k = 0..14)
+ * and s7_k (k = 0..7) of its node values and their Clenshaw-Curtis |g|
+ * sum, resabs before the factor |hl|; see _cheb_sums in the Python twin. */
+struct cheb_sums {
+    double s14[15], s7[8], resabs;
+};
 
 /* kind = 2 n + rule keys n and the rule at once; an empty slot has
- * kind == 0, which no lookup asks for (n != 0). */
+ * kind == 0, which no lookup asks for (n != 0).  A GK15 entry holds eta^n
+ * at its 15 nodes, a Filon entry their cheb_sums. */
 struct memo_entry {
     double a, b;
     long long kind;
-    double g[15];
+    union {
+        double g[15];
+        struct cheb_sums cheb;
+    } u;
 };
 static struct memo_entry memo[MEMO_SIZE];
+
+/* The moments by the exact c; an empty slot has c == 0, which no lookup
+ * asks for (c > FILON_C_MIN). */
+struct mu_entry {
+    double c;
+    double mu[15];
+};
+static struct mu_entry mu_memo[MU_MEMO_SIZE];
 
 /* Stands in for the node values of an n = 0 panel: w * 1.0 == w. */
 static const double ONES[15] = {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
@@ -216,34 +242,93 @@ static double eta3_point(double x)
     return eta3_series(x);
 }
 
+/* Spreads the bits of a key over a table index. */
+static uint64_t mix(uint64_t h)
+{
+    h ^= h >> 31;
+    h *= 0xBF58476D1CE4E5B9u;
+    h ^= h >> 29;
+    return h;
+}
+
 /* eta^n at the panel's 15 nodes: [j] at centr + hl t_j, [14 - j] at
- * centr - hl t_j (j < 7) and [7] at centr, from the memo when [a, b] was
- * seen before; n != 0. */
-static const double *eta_nodes(int n, int rule, double a, double b, double centr, double hl)
+ * centr - hl t_j (j < 7) and [7] at centr; n != 0. */
+static void eta_nodes(int n, int rule, double centr, double hl, double g[15])
+{
+    double (*eta)(double) = n == 1 ? eta_point : eta3_point;
+    const double *t = NODES[rule];
+    g[7] = eta(centr);
+    for (int j = 0; j < 7; j++) {
+        double dx = hl * t[j];
+        g[j] = eta(centr + dx);
+        g[14 - j] = eta(centr - dx);
+    }
+}
+
+/* The DCT-I sums of the node values g and their Clenshaw-Curtis |g| sum;
+ * see _cheb_sums in the Python twin. */
+static void cheb_sums(const double g[15], struct cheb_sums *out)
+{
+    double ev[8], od[8];
+    double fm = g[7];
+    ev[7] = fm;
+    od[7] = 0.0;
+    double resabs = WCC[7] * fabs(fm);
+    for (int j = 0; j < 7; j++) {
+        double f1 = g[j];
+        double f2 = g[14 - j];
+        ev[j] = f1 + f2;
+        od[j] = f1 - f2;
+        resabs += WCC[j] * (fabs(f1) + fabs(f2));
+    }
+    ev[0] *= 0.5;
+    od[0] *= 0.5;
+    for (int k = 0; k < 15; k++) {
+        const double *v = k % 2 ? od : ev;
+        double s14 = v[0] * CHEB[0];
+        double s7 = s14;
+        for (int j = 1; j < 8; j++) {
+            int r = j * k % 28; /* cos(jk pi/14) = CHEB[r], folded into 0..14 */
+            double t = v[j] * CHEB[r <= 14 ? r : 28 - r];
+            s14 += t;
+            if (j % 2 == 0)
+                s7 += t;
+        }
+        out->s14[k] = s14;
+        if (k <= 7)
+            out->s7[k] = s7;
+    }
+    out->s14[0] *= 0.5;
+    out->s14[14] *= 0.5;
+    out->s7[0] *= 0.5;
+    out->s7[7] *= 0.5;
+    out->resabs = resabs;
+}
+
+/* The memo entry of [a, b] for the rule, filled on a miss: eta_nodes for
+ * GK15, their cheb_sums for Filon; n != 0. */
+static const struct memo_entry *memoised(int n, int rule, double a, double b, double centr,
+                                         double hl)
 {
     long long kind = 2LL * n + rule;
     uint64_t ua, ub;
     memcpy(&ua, &a, sizeof ua);
     memcpy(&ub, &b, sizeof ub);
-    uint64_t h = (ua ^ (ub * 0x9E3779B97F4A7C15u)) + (uint64_t)kind;
-    h ^= h >> 31;
-    h *= 0xBF58476D1CE4E5B9u;
-    h ^= h >> 29;
+    uint64_t h = mix((ua ^ (ub * 0x9E3779B97F4A7C15u)) + (uint64_t)kind);
     struct memo_entry *e = &memo[h & (MEMO_SIZE - 1)];
     if (e->kind == kind && e->a == a && e->b == b)
-        return e->g;
-    double (*eta)(double) = n == 1 ? eta_point : eta3_point;
-    const double *t = NODES[rule];
-    e->g[7] = eta(centr);
-    for (int j = 0; j < 7; j++) {
-        double dx = hl * t[j];
-        e->g[j] = eta(centr + dx);
-        e->g[14 - j] = eta(centr - dx);
+        return e;
+    if (rule == RULE_GK15) {
+        eta_nodes(n, rule, centr, hl, e->u.g);
+    } else {
+        double g[15];
+        eta_nodes(n, rule, centr, hl, g);
+        cheb_sums(g, &e->u.cheb);
     }
     e->a = a;
     e->b = b;
     e->kind = kind;
-    return e->g;
+    return e;
 }
 
 static double sech(double x)
@@ -370,9 +455,16 @@ static void moments_bvp(double c, double sc, double cc, int b, double mu[15])
 
 /* int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) (k odd), k = 0..14, c > 3:
  * closed forms to mu_2, the forward recurrence while k stays below c (to
- * mu_14 for c > 14, else to mu_b, b = (int)c - 1), then moments_bvp. */
-static void moments(double c, double mu[15])
+ * mu_14 for c > 14, else to mu_b, b = (int)c - 1), then moments_bvp.
+ * Memoised by the exact c in mu_memo. */
+static const double *moments(double c)
 {
+    uint64_t uc;
+    memcpy(&uc, &c, sizeof uc);
+    struct mu_entry *e = &mu_memo[mix(uc) & (MU_MEMO_SIZE - 1)];
+    if (e->c == c)
+        return e->mu;
+    double *mu = e->mu;
     double sc = sin(c), cc = cos(c);
     mu[0] = 2.0 * sc / c;
     mu[1] = 2.0 * (sc - c * cc) / (c * c);
@@ -387,54 +479,25 @@ static void moments(double c, double mu[15])
     }
     if (b < 14)
         moments_bvp(c, sc, cc, b, mu);
+    e->c = c;
+    return mu;
 }
 
 /* Filon-Clenshaw-Curtis panel of cos/sin(p1 x) eta^n(ix), c = p1 hl; see
  * _filon in the Python twin for the rule and its error estimate. */
 static void filon(int form, double p1, double centr, double hl, double c,
-                  const double g[15], double out[3])
+                  const struct cheb_sums *sums, double out[3])
 {
-    double ev[8], od[8], mu[15];
-    double fm = g[7];
-    ev[7] = fm;
-    od[7] = 0.0;
-    double resabs = WCC[7] * fabs(fm);
-    for (int j = 0; j < 7; j++) {
-        double f1 = g[j];
-        double f2 = g[14 - j];
-        ev[j] = f1 + f2;
-        od[j] = f1 - f2;
-        resabs += WCC[j] * (fabs(f1) + fabs(f2));
-    }
-    ev[0] *= 0.5;
-    od[0] *= 0.5;
-    moments(c, mu);
+    const double *s14 = sums->s14, *s7 = sums->s7, *mu = moments(c);
     double q14e = 0.0, q14o = 0.0, q7e = 0.0, q7o = 0.0;
-    for (int k = 0; k < 15; k++) {
-        const double *v = k % 2 ? od : ev;
-        double s14 = v[0] * CHEB[0];
-        double s7 = s14;
-        for (int j = 1; j < 8; j++) {
-            int r = j * k % 28; /* cos(jk pi/14) = CHEB[r], folded into 0..14 */
-            double t = v[j] * CHEB[r <= 14 ? r : 28 - r];
-            s14 += t;
-            if (j % 2 == 0)
-                s7 += t;
-        }
-        if (k == 0 || k == 14)
-            s14 *= 0.5;
-        if (k == 0 || k == 7)
-            s7 *= 0.5;
-        if (k % 2) {
-            q14o += s14 * mu[k];
-            if (k <= 7)
-                q7o += s7 * mu[k];
-        } else {
-            q14e += s14 * mu[k];
-            if (k <= 7)
-                q7e += s7 * mu[k];
-        }
-    }
+    for (int k = 0; k < 15; k += 2)
+        q14e += s14[k] * mu[k];
+    for (int k = 1; k < 15; k += 2)
+        q14o += s14[k] * mu[k];
+    for (int k = 0; k < 8; k += 2)
+        q7e += s7[k] * mu[k];
+    for (int k = 1; k < 8; k += 2)
+        q7o += s7[k] * mu[k];
     /* cos(p1 x) = wc cos(ct) - ws sin(ct), sin(p1 x) = ws cos(ct) + wc sin(ct). */
     double wc = cos(p1 * centr), ws = sin(p1 * centr), fe, fo;
     if (form == FORM_COS) {
@@ -447,7 +510,7 @@ static void filon(int form, double p1, double centr, double hl, double c,
     double scale = hl / 7.0; /* a_k = (2/14) s14 and b_k = (2/7) s7 */
     double value = (fe * q14e + fo * q14o) * scale;
     double err = (fabs(fe) * fabs(q14e - 2.0 * q7e) + fabs(fo) * fabs(q14o - 2.0 * q7o)) * fabs(scale);
-    resabs *= fabs(hl);
+    double resabs = sums->resabs * fabs(hl);
     if (resabs > UFLOW_GUARD) {
         double err_floor = 50.0 * DBL_EPSILON * resabs;
         if (err_floor > err)
@@ -468,11 +531,12 @@ static void panel(int form, int n, double p1, double p2, double a, double b,
     if ((form == FORM_COS || form == FORM_SIN) && n != 0) {
         double c = p1 * hl;
         if (c > FILON_C_MIN) {
-            filon(form, p1, centr, hl, c, eta_nodes(n, RULE_FILON, a, b, centr, hl), out);
+            const struct memo_entry *e = memoised(n, RULE_FILON, a, b, centr, hl);
+            filon(form, p1, centr, hl, c, &e->u.cheb, out);
             return;
         }
     }
-    const double *g = n == 0 ? ONES : eta_nodes(n, RULE_GK15, a, b, centr, hl);
+    const double *g = n == 0 ? ONES : memoised(n, RULE_GK15, a, b, centr, hl)->u.g;
     /* The weight times the memoized eta^n, short-circuited at w = 0 as in
      * integrand. */
     double w = kernel_weight(form, p1, p2, centr);

@@ -26,14 +26,20 @@ limit 2^-j up to 1/4, 1/2, 1, 2, ...; without one, 0, 0.25, 0.5, ...)
 and bisects at midpoints, so the records of one process keep forming
 the same panels [a, b], and eta^n at a panel's 15 nodes does not depend
 on the weight.
-``panel`` therefore keeps a per-process memo of those node values, keyed
-by n, the rule (the GK15 and Filon nodes differ) and the exact doubles a
-and b, holding at most _MEMO_SIZE = 1024 panels; a full memo is
-cleared.  On a hit only the weight is evaluated.  Panels with n = 0 (the
-auxiliary integrands, right-hand sides among them) bypass the memo, so
-no right-hand side reads a value computed for a left-hand side.  Sums
-run in the same order either way: hit or miss, the result is the same
-to the bit.
+``panel`` therefore keeps a per-process memo of what each rule consumes
+of those node values, keyed by n, the rule (the GK15 and Filon nodes
+differ) and the exact doubles a and b: for GK15 the 15 values, for
+Filon the 15 + 8 DCT sums and the |g| sum of ``_cheb_sums``, none of
+which depends on p1.  It holds at most _MEMO_SIZE = 1024 panels; a full
+memo is cleared.  On a hit a GK15 panel evaluates only the weight, and a
+Filon panel does 15 multiply-adds with the moments plus cos/sin(p1 centr).
+Panels with n = 0 (the auxiliary integrands, right-hand sides among
+them) bypass the memo, so no right-hand side reads a value computed for
+a left-hand side.  The moments depend only on c, and panel widths are
+dyadic, so c recurs too: ``_moments`` keeps a second memo, keyed by the
+exact c, of at most _MEMO_SIZE tuples (which no caller can change), also
+cleared when full.  Sums run in the same order either way: hit or miss,
+the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -130,7 +136,9 @@ _GK15 = 0
 _FILON = 1
 _NODES = (_XGK, _CHEB)
 _MEMO_SIZE = 1024
-_memo: dict[tuple[int, float, float], list[float]] = {}  # (2 n + rule, a, b) -> nodes
+# (2 n + rule, a, b) -> GK15 node values or Filon _cheb_sums; c -> moments.
+_memo: dict[tuple[int, float, float], list[float] | tuple] = {}
+_mu_memo: dict[float, tuple[float, ...]] = {}
 # Stands in for the node values of an n = 0 panel: w * 1.0 == w.
 _ONES = [1.0] * 15
 
@@ -196,25 +204,71 @@ def eta3_point(x: float) -> float:
     return _eta3_series(x)
 
 
-def _eta_nodes(n: int, rule: int, a: float, b: float, centr: float, hl: float) -> list[float]:
+def _eta_nodes(n: int, rule: int, centr: float, hl: float) -> list[float]:
     """eta^n at the panel's 15 nodes: [j] at centr + hl t_j, [14 - j] at
-    centr - hl t_j (j < 7) and [7] at centr, from the memo when [a, b]
-    was seen before (see the module docstring)."""
+    centr - hl t_j (j < 7) and [7] at centr."""
+    eta = eta_point if n == 1 else eta3_point
+    t = _NODES[rule]
+    g = [0.0] * 15
+    g[7] = eta(centr)
+    for j in range(7):
+        dx = hl * t[j]
+        g[j] = eta(centr + dx)
+        g[14 - j] = eta(centr - dx)
+    return g
+
+
+def _cheb_sums(g: list[float]) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """What the Filon rule consumes of the node values g: the DCT-I sums
+    s14_k = sum_j v_j cos(jk pi/14) (k = 0..14) and s7_k, the same over
+    even j (k = 0..7), of the even (k even) and odd (k odd) parts v of g,
+    halved at the ends as the rule needs; and sum_j W_j |g_j| with the
+    Clenshaw-Curtis weights W_j (``resabs`` before the factor |hl|)."""
+    ev = [0.0] * 8
+    od = [0.0] * 8
+    fm = g[7]
+    ev[7] = fm
+    resabs = _WCC[7] * abs(fm)
+    for j in range(7):
+        f1 = g[j]
+        f2 = g[14 - j]
+        ev[j] = f1 + f2
+        od[j] = f1 - f2
+        resabs += _WCC[j] * (abs(f1) + abs(f2))
+    ev[0] *= 0.5
+    od[0] *= 0.5
+    s14 = [0.0] * 15
+    s7 = [0.0] * 8
+    # In the order of the C twin's loop.
+    for k, row in enumerate(_DCT):
+        v = od if k % 2 else ev
+        t0 = v[0] * row[0]
+        t2 = v[2] * row[2]
+        t4 = v[4] * row[4]
+        t6 = v[6] * row[6]
+        s14[k] = t0 + v[1] * row[1] + t2 + v[3] * row[3] + t4 + v[5] * row[5] + t6 + v[7] * row[7]
+        if k <= 7:
+            s7[k] = t0 + t2 + t4 + t6
+    s14[0] *= 0.5
+    s14[14] *= 0.5
+    s7[0] *= 0.5
+    s7[7] *= 0.5
+    return tuple(s14), tuple(s7), resabs
+
+
+def _memoised(n: int, rule: int, a: float, b: float, centr: float, hl: float):
+    """What the rule consumes of eta^n on [a, b]: for GK15 the 15 node
+    values, for Filon their ``_cheb_sums``; from the memo when [a, b] was
+    seen before (see the module docstring)."""
     key = (2 * n + rule, a, b)
-    g = _memo.get(key)
-    if g is None:
-        eta = eta_point if n == 1 else eta3_point
-        t = _NODES[rule]
-        g = [0.0] * 15
-        g[7] = eta(centr)
-        for j in range(7):
-            dx = hl * t[j]
-            g[j] = eta(centr + dx)
-            g[14 - j] = eta(centr - dx)
+    e = _memo.get(key)
+    if e is None:
+        g = _eta_nodes(n, rule, centr, hl)
+        e = g if rule == _GK15 else _cheb_sums(g)
         if len(_memo) >= _MEMO_SIZE:
             _memo.clear()
-        _memo[key] = g
-    return g
+        _memo[key] = e
+    return e
 
 
 def _sech(x: float) -> float:
@@ -311,7 +365,7 @@ def integrand(form: int, n: int, p1: float, p2: float, x: float) -> float:
     return w * eta3_point(x)
 
 
-def _moments(c: float) -> list[float]:
+def _moments(c: float) -> tuple[float, ...]:
     """int_{-1}^{1} T_k(t) cos(ct) dt (k even), sin(ct) (k odd), k = 0..14, c > 3.
 
     mu_0..mu_2 in closed form, then the recurrence
@@ -319,8 +373,11 @@ def _moments(c: float) -> list[float]:
     d_k = 2 (k^2 - 1), r_k = -4 sin c for odd k and d_k = -2 (k^2 - 1),
     r_k = 4 cos c for even k, forward while k stays below c, where it is
     stable: to mu_14 for c > 14, else to mu_b, b = int(c) - 1, and the rest
-    by ``_moments_bvp``.
+    by ``_moments_bvp``.  Memoised by the exact c (see the module docstring).
     """
+    cached = _mu_memo.get(c)
+    if cached is not None:
+        return cached
     sc = sin(c)
     cc = cos(c)
     mu = [0.0] * 15
@@ -343,7 +400,10 @@ def _moments(c: float) -> list[float]:
             )
     if b < 14:
         _moments_bvp(c, sc, cc, b, mu)
-    return mu
+    if len(_mu_memo) >= _MEMO_SIZE:
+        _mu_memo.clear()
+    cached = _mu_memo[c] = tuple(mu)
+    return cached
 
 
 def _moments_bvp(c: float, sc: float, cc: float, b: int, mu: list[float]) -> None:
@@ -381,13 +441,13 @@ def _moments_bvp(c: float, sc: float, cc: float, b: int, mu: list[float]) -> Non
 
 
 def _filon(
-    form: int, p1: float, centr: float, hl: float, c: float, g: list[float]
+    form: int, p1: float, centr: float, hl: float, c: float, sums
 ) -> tuple[float, float, float]:
     """Filon-Clenshaw-Curtis panel of cos/sin(p1 x) eta^n(ix), c = p1 hl.
 
     With x = centr + hl t, the eta factor g(t) is interpolated at the 15
     nodes t_j = cos(j pi/14) as sum_k a_k T_k(t) (a DCT-I of the samples,
-    split into the even and odd parts of g), and
+    split into the even and odd parts of g: ``_cheb_sums``), and
     cos(p1 x) = cos(p1 centr) cos(ct) - sin(p1 centr) sin(ct), so the
     panel is hl [cos(p1 centr) sum_even a_k mu_k - sin(p1 centr) sum_odd
     a_k mu_k] (sin: hl [sin(p1 centr) sum_even + cos(p1 centr) sum_odd]).
@@ -398,43 +458,17 @@ def _filon(
     The Gauss-Kronrod rule's 50 eps floor applies to resabs = hl sum W_j
     |g_j| with the Clenshaw-Curtis weights W_j.
     """
-    ev = [0.0] * 8
-    od = [0.0] * 8
-    fm = g[7]
-    ev[7] = fm
-    resabs = _WCC[7] * abs(fm)
-    for j in range(7):
-        f1 = g[j]
-        f2 = g[14 - j]
-        ev[j] = f1 + f2
-        od[j] = f1 - f2
-        resabs += _WCC[j] * (abs(f1) + abs(f2))
-    ev[0] *= 0.5
-    od[0] *= 0.5
+    s14, s7, resabs = sums
     mu = _moments(c)
-    # s14 = sum_j v_j cos(jk pi/14) and s7 = the same over even j, in the
-    # order of the C twin's loop.
     q14e = q14o = q7e = q7o = 0.0
-    for k, row in enumerate(_DCT):
-        v = od if k % 2 else ev
-        t0 = v[0] * row[0]
-        t2 = v[2] * row[2]
-        t4 = v[4] * row[4]
-        t6 = v[6] * row[6]
-        s14 = t0 + v[1] * row[1] + t2 + v[3] * row[3] + t4 + v[5] * row[5] + t6 + v[7] * row[7]
-        s7 = t0 + t2 + t4 + t6
-        if k == 0 or k == 14:
-            s14 *= 0.5
-        if k == 0 or k == 7:
-            s7 *= 0.5
-        if k % 2:
-            q14o += s14 * mu[k]
-            if k <= 7:
-                q7o += s7 * mu[k]
-        else:
-            q14e += s14 * mu[k]
-            if k <= 7:
-                q7e += s7 * mu[k]
+    for k in range(0, 15, 2):
+        q14e += s14[k] * mu[k]
+    for k in range(1, 15, 2):
+        q14o += s14[k] * mu[k]
+    for k in range(0, 8, 2):
+        q7e += s7[k] * mu[k]
+    for k in range(1, 8, 2):
+        q7o += s7[k] * mu[k]
     # cos(p1 x) = wc cos(ct) - ws sin(ct), sin(p1 x) = ws cos(ct) + wc sin(ct).
     wc = cos(p1 * centr)
     ws = sin(p1 * centr)
@@ -469,8 +503,8 @@ def panel(
     if (form == F.FORM_COS or form == F.FORM_SIN) and n != 0:
         c = p1 * hl
         if c > _FILON_C_MIN:
-            return _filon(form, p1, centr, hl, c, _eta_nodes(n, _FILON, a, b, centr, hl))
-    g = _ONES if n == 0 else _eta_nodes(n, _GK15, a, b, centr, hl)
+            return _filon(form, p1, centr, hl, c, _memoised(n, _FILON, a, b, centr, hl))
+    g = _ONES if n == 0 else _memoised(n, _GK15, a, b, centr, hl)
     # The weight times the memoized eta^n, short-circuited at w = 0 as in integrand.
     w = kernel_weight(form, p1, p2, centr)
     fc = w if w == 0.0 else w * g[7]

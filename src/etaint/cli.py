@@ -122,16 +122,22 @@ def _resolve_ids(ids: list[str], registry: dict[str, verify.IdentitySpec]):
     return [registry[i] for i in ids]
 
 
+def _finite(x: float) -> float | None:
+    # Strict JSON has no NaN or Infinity: such a value is written as null,
+    # and the record's note says why (a quadrature that did not converge).
+    return x if math.isfinite(x) else None
+
+
 def _record_payload(r: verify.IdentityRecord) -> dict:
     """One record as the JSON report and, in this column order, the CSV hold it."""
     return {
         "id": r.id,
         "params": r.params,
-        "lhs": r.lhs_value,
-        "lhs_err": r.lhs_err_est,
-        "rhs": r.rhs_value,
-        "abs_residual": r.abs_residual,
-        "rel_residual": r.rel_residual,
+        "lhs": _finite(r.lhs_value),
+        "lhs_err": _finite(r.lhs_err_est),
+        "rhs": _finite(r.rhs_value),
+        "abs_residual": _finite(r.abs_residual),
+        "rel_residual": _finite(r.rel_residual),
         "status": r.status,
         "evals": r.evals,
         "ms": r.ms,
@@ -222,7 +228,7 @@ def _render_list(registry: dict[str, verify.IdentitySpec], fmt: str) -> str:
             }
             for spec in registry.values()
         ]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     lines = []
     for spec in registry.values():
         grid = ", ".join(_format_params(p) for p in spec.param_grid)
@@ -281,7 +287,8 @@ def _run_records(options: _Options) -> int:
         report = verify.run_suite(specs, options.tol)
 
     if options.fmt == "json":
-        text = json.dumps(build_report_payload(report, options.tol), indent=2) + "\n"
+        payload = build_report_payload(report, options.tol)
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif options.fmt == "csv":
         text = _render_csv(report)
     else:

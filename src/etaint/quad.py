@@ -49,11 +49,15 @@ are graded geometrically toward the lower limit, lo, 2 lo, 4 lo, ...,
 at a time; for n = 0 they are lo, then 0.25, 0.5, 1, 2, ....  Past an
 n = 0 limit every endpoint is dyadic, so the records of one process form
 the same panels again and again.  The kernel twins therefore keep a
-per-process memo of eta^n at each panel's 15 nodes, keyed by n, the rule
-and the exact endpoints, holding 1,024 panels; only n >= 1 panels use
-it, so no right-hand side quadrature reads a left-hand side's values.  A
-result does not depend on whether a panel hit the memo, and ``evals``
-still counts 15 per panel.
+per-process memo of what each rule consumes of eta^n at a panel's 15
+nodes (GK15 the values, Filon their Chebyshev sums), keyed by n, the
+rule and the exact endpoints, holding 1,024 panels, and a memo of the
+Filon moments keyed by the exact c = a (b - a)/2; only n >= 1 panels use
+them, so no right-hand side quadrature reads a left-hand side's values.
+This module caches the series-correction tail's terms and error (a
+function of n and X) and the exp-bound cutoff (a function of the decay
+model and the tolerance) the same way.  A result does not depend on
+whether a panel hit a memo, and ``evals`` still counts 15 per panel.
 """
 
 from __future__ import annotations
@@ -193,6 +197,8 @@ def _tail_integral_bound(rate: float, m: float, amp: float, x: float) -> float:
     return b
 
 
+# A pure function of its float arguments; a DomainError is not cached.
+@functools.lru_cache(maxsize=1024)
 def _choose_cutoff(
     rate: float, m: float, amp: float, lo: float, tol_tail: float
 ) -> tuple[float, float]:
@@ -215,21 +221,29 @@ def _choose_cutoff(
 def _series_tail(kernel: KernelSpec, laplace_tail, x0: float) -> tuple[float, float]:
     """(int_{x0}^inf w(x) eta^n(ix) dx, its error bound), term by term.
 
-    Sums the weight's Laplace tail over the terms of the direct q-series
-    until the integrated remainder is below eps times the mass bound, so
-    the error is dominated by rounding.
+    Sums the weight's Laplace tail over the terms of ``_series_terms``.
+    """
+    terms, err = _series_terms(kernel.n, x0)
+    return fsum(c * laplace_tail(kernel.a, lam, x0) for c, lam in terms), err
+
+
+@functools.lru_cache(maxsize=1024)
+def _series_terms(n: int, x0: float) -> tuple[tuple[tuple[float, float], ...], float]:
+    """The terms (c, lam) of the direct q-series of eta^n that ``_series_tail``
+    sums beyond x0, and the tail's error bound; they do not depend on the weight.
+
+    Takes terms until the integrated remainder is below eps times the mass
+    bound, so the error is dominated by rounding.
     """
     # With no terms the remainder bound bounds int_{x0}^inf |eta^n|, and
     # so the integral of |w eta^n|, because |w| <= 1 there.
     bound = dedekind.remainder_integral_bound
-    mass = bound(x0, kernel.n, 0)
+    mass = bound(x0, n, 0)
     n_terms = 1
-    while (trunc := bound(x0, kernel.n, n_terms)) > _EPS * mass:
+    while (trunc := bound(x0, n, n_terms)) > _EPS * mass:
         n_terms += 1
-    terms = dedekind.series_terms(kernel.n, n_terms)
-    value = fsum(c * laplace_tail(kernel.a, lam, x0) for c, lam in terms)
     # Rounding: 50 eps times the mass, as the panel rule's 50 eps * resabs floor.
-    return value, trunc + 50.0 * _EPS * mass
+    return tuple(dedekind.series_terms(n, n_terms)), trunc + 50.0 * _EPS * mass
 
 
 def _initial_breakpoints(lo: float, hi: float, first: float = 0.25) -> list[float]:

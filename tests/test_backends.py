@@ -111,41 +111,92 @@ class TestTwins:
             assert py.panel(form, n, p1, p2, a, b) == cy.panel(form, n, p1, p2, a, b), (a, b)
 
 
-# Distinct eta panels of both rules (Filon: c = p1 (b - a)/2 = 25), then
-# the first ones (evicted) and the last ones (still held) again under
-# another weight of the same rule and n.
+# Distinct eta panels of both rules (Filon: c = p1 (b - a)/2 = 25 forward,
+# 5 and 10 solved), then the first ones (evicted) and the last ones (still
+# held) again under another weight of the same rule and n: at the same c
+# (sin for cos, cos for sin) or at a new one.
 _FIRST = [
-    (F.FORM_POWER, 1, 0.5), (F.FORM_EXP, 3, 2.0), (F.FORM_COS, 1, 5000.0), (F.FORM_SIN, 3, 5000.0)
+    (F.FORM_POWER, 1, 0.5), (F.FORM_EXP, 3, 2.0), (F.FORM_COS, 1, 5000.0), (F.FORM_SIN, 3, 5000.0),
+    (F.FORM_COS, 3, 1000.0), (F.FORM_SIN, 1, 2000.0),
 ]
 _AGAIN = [
-    (F.FORM_EXP, 1, 1.5), (F.FORM_POWER, 3, 0.75), (F.FORM_SIN, 1, 3000.0), (F.FORM_COS, 3, 7000.0)
+    (F.FORM_EXP, 1, 1.5), (F.FORM_POWER, 3, 0.75), (F.FORM_SIN, 1, 5000.0), (F.FORM_COS, 3, 7000.0),
+    (F.FORM_COS, 3, 1500.0), (F.FORM_COS, 1, 2000.0),
 ]
 
 
 def _memo_panels(weights, count):
-    return [(*weights[i % 4], 0.0, 1e-3 * i, 1e-3 * i + 0.01) for i in range(1, count + 1)]
+    # p1 moves with i, so each Filon panel brings a c of its own (up to 12
+    # for the solved ones).
+    return [
+        (form, n, p1 * (1.0 + 1e-4 * i), 0.0, 1e-3 * i, 1e-3 * i + 0.01)
+        for i in range(1, count + 1)
+        for form, n, p1 in [weights[i % len(weights)]]
+    ]
+
+
+def _fresh(k, queries):
+    """k.panel of each query in one fresh interpreter, as repr."""
+    probe = (
+        f"from etaint import {k.__name__.rsplit('.', 1)[1]} as k\n"
+        f"print([k.panel(*args) for args in {queries!r}])"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout.strip()
+
+
+def _filon_c(args):
+    form, n, p1, _, a, b = args
+    c = p1 * (0.5 * (b - a))
+    return c if form in (F.FORM_COS, F.FORM_SIN) and c > 3.0 else None
 
 
 @pytest.mark.parametrize("backend", sorted(_BACKENDS))
 def test_memo_past_capacity_then_requery_matches_a_fresh_process(backend):
     k = _BACKENDS[backend]
     py = _BACKENDS["python"]
-    count = py._MEMO_SIZE * 3 // 2
-    for args in _memo_panels(_FIRST, count):
+    count = py._MEMO_SIZE * 2
+    first = _memo_panels(_FIRST, count)
+    # Both memos churn: more panels than the panel memo holds, more distinct
+    # c than the moments memo holds, small c among them.
+    cs = {_filon_c(args) for args in first} - {None}
+    assert len(cs) > py._MEMO_SIZE and sum(3.0 < c <= 14.0 for c in cs) > 500
+    for args in first:
         k.panel(*args)
-        assert len(py._memo) <= py._MEMO_SIZE
+        assert len(py._memo) <= py._MEMO_SIZE and len(py._mu_memo) <= py._MEMO_SIZE
     again = _memo_panels(_AGAIN, count)
     again = again[:64] + again[-64:]
     here = [k.panel(*args) for args in again]
-    probe = (
-        f"from etaint import {k.__name__.rsplit('.', 1)[1]} as k\n"
-        f"print([k.panel(*args) for args in {again!r}])"
-    )
-    fresh = subprocess.run(
-        [sys.executable, "-c", probe], env=subprocess_env(), capture_output=True, text=True,
-        check=True, timeout=60,
-    ).stdout
-    assert repr(here) == fresh.strip()
+    # In reverse order, so that a memo read under the wrong key meets
+    # another history there.
+    assert repr(here[::-1]) == _fresh(k, again[::-1])
+
+
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_one_panel_at_several_frequencies_matches_fresh_processes(backend):
+    # The Filon entry of [0.25, 0.5] is memoised at the first c and read at
+    # the others: GK15 (c = 1.6), solved (c = 5, 3.125) and forward moments
+    # (c = 50, 875), and c = 5 again under sin.
+    k = _BACKENDS[backend]
+    queries = [
+        (form, 3, p1, 0.0, 0.25, 0.5)
+        for form, p1 in [(F.FORM_COS, 40.0), (F.FORM_COS, 13.0), (F.FORM_COS, 25.0),
+                         (F.FORM_COS, 400.0), (F.FORM_COS, 7000.0), (F.FORM_SIN, 40.0)]
+    ]
+    here = [k.panel(*args) for args in queries]
+    assert [repr(got) for got in here] == [_fresh(k, [args])[1:-1] for args in queries]
+
+
+def test_moments_are_memoised_as_tuples_within_the_cap():
+    py = _BACKENDS["python"]
+    mu = py._moments(5.5)
+    assert isinstance(mu, tuple) and len(mu) == 15
+    assert py._moments(5.5) is mu
+    for i in range(py._MEMO_SIZE + 100):
+        py._moments(3.0 + 1e-3 * (i + 1))
+        assert len(py._mu_memo) <= py._MEMO_SIZE
 
 
 def test_n0_panels_leave_the_memo_untouched():

@@ -190,6 +190,19 @@ class TestRecordDiagnostics:
         assert rec["status"] == "fail" and "did not converge" in rec["note"]
         assert rec["evals"] >= 99_000 and rec["evals"] == payload["suite"]["totals"]["evals"]
 
+    def test_nonconvergence_json_is_strict(self, capsys):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code, out, _ = run_cli(
+            capsys, "eval", "--identity", "EQ7", "--param", "s=10", "--format", "json"
+        )
+        assert code == 1
+        (rec,) = json.loads(out, parse_constant=reject)["records"]
+        for key in ("lhs", "lhs_err", "rhs", "abs_residual", "rel_residual"):
+            assert rec[key] is None, key
+        assert rec["status"] == "fail" and "did not converge" in rec["note"]
+
 
 class TestTable:
     def test_eq7_sweep(self, capsys):
