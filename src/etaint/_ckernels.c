@@ -19,20 +19,20 @@
  * forming the same panels [a, b], and eta^n at a panel's 15 nodes does
  * not depend on the weight.
  * `panel` keeps what each rule consumes of those node values in a static
- * direct-mapped table of MEMO_SIZE = 1024 panels (24 doubles each, about
- * 225 KB), keyed by n, the rule (GK15 and Filon nodes differ) and the
- * exact doubles a and b; a colliding panel replaces the slot's entry.  A
- * GK15 entry holds the 15 node values, so a hit evaluates only the
- * weight; a Filon entry holds their 15 + 8 DCT sums and |g| sum
- * (cheb_sums), so a hit does 15 multiply-adds with the moments plus
- * cos/sin(p1 centr).  Panels with n = 0 (the auxiliary integrands,
- * right-hand sides among them) bypass the table, so no right-hand side
- * reads a value computed for a left-hand side.  The moments depend only
- * on c, which recurs with the dyadic panel widths, so `moments` keeps a
- * second direct-mapped table of MU_MEMO_SIZE = 256 moment sets (32 KB)
- * keyed by the exact c.  Sums run in the same order either way, so a hit
- * and a miss give the same result to the bit.  The tables are touched
- * only with the GIL held.
+ * direct-mapped table of MEMO_SIZE = 1024 panels (a payload of 24 doubles
+ * each, about 220 KB in all), keyed by n, the rule (GK15 and Filon nodes
+ * differ) and the exact doubles a and b; a colliding panel replaces the
+ * slot's entry.  A GK15 entry holds the 15 node values, so a hit
+ * evaluates only the weight; a Filon entry holds their 15 + 8 DCT sums
+ * and |g| sum (cheb_sums), so a hit does 15 multiply-adds with the
+ * moments plus cos/sin(p1 centr).  Panels with n = 0 (the auxiliary
+ * integrands, right-hand sides among them) bypass the table, so no
+ * right-hand side reads a value computed for a left-hand side.  The
+ * moments depend only on c, which recurs with the dyadic panel widths,
+ * so `moments` keeps a second direct-mapped table of MU_MEMO_SIZE = 256
+ * moment sets (32 KB) keyed by the exact c.  Sums run in the same order
+ * either way, so a hit and a miss give the same result to the bit.  The
+ * tables are touched only with the GIL held.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -116,11 +116,13 @@ class TestTwins:
 # held) again under another weight of the same rule and n: at the same c
 # (sin for cos, cos for sin) or at a new one.
 _FIRST = [
-    (F.FORM_POWER, 1, 0.5), (F.FORM_EXP, 3, 2.0), (F.FORM_COS, 1, 5000.0), (F.FORM_SIN, 3, 5000.0),
+    (F.FORM_POWER, 1, 0.5), (F.FORM_EXP, 3, 2.0),
+    (F.FORM_COS, 1, 5000.0), (F.FORM_SIN, 3, 5000.0),
     (F.FORM_COS, 3, 1000.0), (F.FORM_SIN, 1, 2000.0),
 ]
 _AGAIN = [
-    (F.FORM_EXP, 1, 1.5), (F.FORM_POWER, 3, 0.75), (F.FORM_SIN, 1, 5000.0), (F.FORM_COS, 3, 7000.0),
+    (F.FORM_EXP, 1, 1.5), (F.FORM_POWER, 3, 0.75),
+    (F.FORM_SIN, 1, 5000.0), (F.FORM_COS, 3, 7000.0),
     (F.FORM_COS, 3, 1500.0), (F.FORM_COS, 1, 2000.0),
 ]
 
