@@ -441,7 +441,8 @@ def _moments_bvp(c: float, sc: float, cc: float, b: int, mu: list[float]) -> Non
 
 
 def _filon(
-    form: int, p1: float, centr: float, hl: float, c: float, sums
+    form: int, p1: float, centr: float, hl: float, c: float,
+    sums: tuple[tuple[float, ...], tuple[float, ...], float],
 ) -> tuple[float, float, float]:
     """Filon-Clenshaw-Curtis panel of cos/sin(p1 x) eta^n(ix), c = p1 hl.
 
