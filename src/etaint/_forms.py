@@ -6,7 +6,9 @@ so they must stay in sync with the ``form_id`` enum of ``_ckernels.c``),
 whether it carries an eta factor, the domain of its parameters, the
 weight's own decay model, and for exp, cos and sin the weight's exact
 Laplace tail.  Adding a form takes one row here plus its weight code in
-each twin.
+each twin: a case of ``kernel_weight`` in ``_ckernels.c``, and in
+``_pykernels.py`` a function over a panel's abscissae registered in its
+``_WEIGHTS`` table (with the value C gives where Python raises).
 
 Weight definitions (p1, p2 are the slots of the primary and secondary
 parameter; u denotes the integration variable of the substituted
@@ -34,7 +36,7 @@ tp_rhs1_u             2 sqrt(pi) F(u^2) sinh(2u sqrt(pi/3))/cosh(u sqrt(3pi))
 
 F selectors for the transform-pair forms (slot p2):
 0 -> F(t) = exp(-a t); 1 -> exp(-a t)/sqrt(pi t); 2 -> sin(a t)/sqrt(pi t),
-with a in slot p1.
+with a >= 0 in slot p1 (their decay models take exp(-a t) <= 1).
 """
 
 from __future__ import annotations
@@ -151,6 +153,7 @@ FORMS: dict[str, Form] = {
         lambda a, p: (sqrt(pi), 1.0, 4.0)
         if p == FSEL_EXP
         else (sqrt(pi), 0.0, 4.0 / sqrt(pi)),
+        a_min=0.0,
     ),
     "tp_rhs1_u": Form(
         FORM_TP_RHS1_U,
@@ -158,5 +161,6 @@ FORMS: dict[str, Form] = {
         lambda a, p: (sqrt(pi / 3.0), 0.0, 4.0 * sqrt(pi))
         if p == FSEL_EXP
         else (sqrt(pi / 3.0), -1.0, 4.0),
+        a_min=0.0,
     ),
 }

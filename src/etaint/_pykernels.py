@@ -20,6 +20,18 @@ degree int(c) - 1 and the rest come from the same recurrence solved as a
 boundary-value problem up to degree 40 (QUADPACK's qc25f does the same
 for 2 < c <= 24).
 
+A GK15 panel makes one weight call.  ``_WEIGHTS`` holds one function per
+``_forms.FORMS`` row, w(p1, p2, xs), that evaluates the form's weight at
+all the panel's abscissae in a comprehension or a local loop;
+``kernel_weight`` is that call at one abscissa, so each weight is stated
+once.  Where Python raises and C's libm or division returns inf or NaN
+(cos(inf), an overflowing exp or **, a division by zero), ``_weights``
+redoes the panel node by node and gives a node that raises the value C
+gives there, registered with the function; the hot path carries no
+guard.  The GK15 sums are written out term by term, in the order of the
+C twin's loop (Python evaluates a + b + c as (a + b) + c), so they round
+as C's do.
+
 Panels recur.  The adaptive quadrature of every record starts from
 dyadic breakpoints (with an eta factor, powers of two graded from a lower
 limit 2^-j up to 1/4, 1/2, 1, 2, ...; without one, 0, 0.25, 0.5, ...)
@@ -44,10 +56,11 @@ the result is the same to the bit.
 
 from __future__ import annotations
 
-from math import cos, cosh, exp, hypot, inf, pi, sin, sinh, sqrt
+from math import cos, cosh, erf, exp, hypot, inf, nan, pi, sin, sinh, sqrt
+from typing import Callable, Sequence
 
 from . import _forms as F
-from .specfun import erf, erfc_scaled, sinh_minus_sin
+from .specfun import erfc_scaled_unchecked, sinh_minus_sin
 
 BACKEND_NAME = "python"
 
@@ -130,6 +143,12 @@ _DCT = tuple(
     tuple(_CHEB[min(j * k % 28, 28 - j * k % 28)] for j in range(8)) for k in range(15)
 )
 
+# The GK15 rule unrolled: its node offsets in the order of a panel's
+# abscissae (t_0..t_6, 0, -t_6..-t_0), and its weights one by one.
+_GK_T = _XGK[:7] + (0.0,) + tuple(-t for t in _XGK[6::-1])
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
+
 # The panel rules, as memo keys, and their node tables t: both rules
 # sample eta^n at centr + hl t_j and centr - hl t_j (j = 0..6) and at centr.
 _GK15 = 0
@@ -139,8 +158,6 @@ _MEMO_SIZE = 1024
 # (2 n + rule, a, b) -> GK15 node values or Filon _cheb_sums; c -> moments.
 _memo: dict[tuple[int, float, float], list[float] | tuple] = {}
 _mu_memo: dict[float, tuple[float, ...]] = {}
-# Stands in for the node values of an n = 0 panel: w * 1.0 == w.
-_ONES = [1.0] * 15
 
 
 def _eta_series(xe: float) -> float:
@@ -277,82 +294,201 @@ def _sech(x: float) -> float:
     return 1.0 / cosh(x)
 
 
-def kernel_weight(form: int, p1: float, p2: float, x: float) -> float:
-    """The weight f(x) multiplying the eta power; see _forms for the table."""
-    if form == F.FORM_POWER:
-        try:
-            return x ** (-p1)
-        except (OverflowError, ZeroDivisionError):
-            return inf  # C's pow, where ** raises
-    if form == F.FORM_EXP:
-        e = p1 * x
-        return exp(-e) if e <= 745.0 else 0.0
-    if form == F.FORM_COS:
-        return cos(p1 * x)
-    if form == F.FORM_SIN:
-        return sin(p1 * x)
-    if form == F.FORM_EXP_RECIP:
-        e = p1 / x
-        return exp(-e) / sqrt(x) if e <= 745.0 else 0.0
-    if form == F.FORM_COS_RECIP:
-        return cos(p1 / x) / sqrt(x)
-    if form == F.FORM_ERF_WEIGHT:
-        return erf(sqrt(p1 * x)) / sqrt(x)
-    if form == F.FORM_SCALED_ERFC_RECIP:
-        return erfc_scaled(sqrt(p1 / x)) / sqrt(x)
-    if form == F.FORM_SHIFTED_RECIP:
-        return (x + p1) ** (-p2)
-    if form == F.FORM_SQRT_SHIFT:
+# The weights: one function per _forms.FORMS row, w(p1, p2, xs) -> the
+# weight at each abscissa of xs, registered under its form id with the
+# value C gives where Python raises (see _weights).
+_Weight = Callable[[float, float, Sequence[float]], list]
+_WEIGHTS: dict[int, tuple[_Weight, float]] = {}
+# What Python raises where C's libm and division return inf or NaN.
+_FAULTS = (OverflowError, ValueError, ZeroDivisionError)
+
+
+def _weight(form: int, fault: float = nan) -> Callable[[_Weight], _Weight]:
+    """Registers a weight function of ``form`` in _WEIGHTS; ``fault`` is the C
+    twin's value at a node where the function raises, over the form's
+    parameter domain."""
+
+    def register(w: _Weight) -> _Weight:
+        _WEIGHTS[form] = (w, fault)
+        return w
+
+    return register
+
+
+@_weight(F.FORM_POWER, inf)  # x^-p1 overflows, or x = 0 < p1
+def _power(p1, p2, xs):
+    return [x ** (-p1) for x in xs]
+
+
+@_weight(F.FORM_EXP)
+def _exp(p1, p2, xs):
+    return [exp(-e) if (e := p1 * x) <= 745.0 else 0.0 for x in xs]
+
+
+@_weight(F.FORM_COS)  # p1 x overflows: cos(inf) is NaN
+def _cos(p1, p2, xs):
+    return [cos(p1 * x) for x in xs]
+
+
+@_weight(F.FORM_SIN)
+def _sin(p1, p2, xs):
+    return [sin(p1 * x) for x in xs]
+
+
+@_weight(F.FORM_EXP_RECIP, 0.0)  # x = 0: p1/x is inf or NaN, not <= 745
+def _exp_recip(p1, p2, xs):
+    return [exp(-e) / sqrt(x) if (e := p1 / x) <= 745.0 else 0.0 for x in xs]
+
+
+@_weight(F.FORM_COS_RECIP)
+def _cos_recip(p1, p2, xs):
+    return [cos(p1 / x) / sqrt(x) for x in xs]
+
+
+@_weight(F.FORM_ERF_WEIGHT)  # x = 0: 0/0
+def _erf_weight(p1, p2, xs):
+    return [erf(sqrt(p1 * x)) / sqrt(x) for x in xs]
+
+
+@_weight(F.FORM_SCALED_ERFC_RECIP)
+def _scaled_erfc_recip(p1, p2, xs):
+    return [erfc_scaled_unchecked(sqrt(p1 / x)) / sqrt(x) for x in xs]
+
+
+@_weight(F.FORM_SHIFTED_RECIP, inf)  # x + p1 = 0
+def _shifted_recip(p1, p2, xs):
+    return [(x + p1) ** (-p2) for x in xs]
+
+
+@_weight(F.FORM_SQRT_SHIFT)
+def _sqrt_shift(p1, p2, xs):
+    out = []
+    for x in xs:
         r2 = x * x + 1.0
         s = sqrt(r2)
-        return sqrt(x * x / (s + 1.0) / r2)
-    if form == F.FORM_EXP_OVER_X:
-        e = p1 * x
-        return exp(-e) / x if e <= 745.0 else 0.0
-    if form == F.FORM_IM_RSQRT:
+        out.append(sqrt(x * x / (s + 1.0) / r2))
+    return out
+
+
+@_weight(F.FORM_EXP_OVER_X, inf)  # x = 0: 1/0
+def _exp_over_x(p1, p2, xs):
+    return [exp(-e) / x if (e := p1 * x) <= 745.0 else 0.0 for x in xs]
+
+
+@_weight(F.FORM_IM_RSQRT)
+def _im_rsqrt(p1, p2, xs):
+    out = []
+    for x in xs:
         r = hypot(x, p1)
-        return sqrt(p1 * p1 / (r + x) / (2.0 * r * r))
-    if form == F.FORM_GLAISHER11:
+        out.append(sqrt(p1 * p1 / (r + x) / (2.0 * r * r)))
+    return out
+
+
+@_weight(F.FORM_GLAISHER11)
+def _glaisher11(p1, p2, xs):
+    out = []
+    for x in xs:
         if x == 0.0:
-            return 0.0
-        if x > 350.0:
-            return 1.0 / (x * x)
-        return sinh_minus_sin(x) / (x * x * (cosh(x) + cos(x)))
-    if form == F.FORM_GLAISHER17:
+            out.append(0.0)
+        elif x > 350.0:
+            out.append(1.0 / (x * x))
+        else:
+            out.append(sinh_minus_sin(x) / (x * x * (cosh(x) + cos(x))))
+    return out
+
+
+@_weight(F.FORM_GLAISHER17)
+def _glaisher17(p1, p2, xs):
+    out = []
+    for x in xs:
         if x == 0.0:
-            return 0.0
-        if x > 350.0:
-            return sin(0.5 * x) * exp(-0.5 * x) / x
-        return sinh(0.5 * x) * sin(0.5 * x) / (x * (cosh(x) + cos(x)))
-    if form == F.FORM_SECH_AUX:
+            out.append(0.0)
+        elif x > 350.0:
+            out.append(sin(0.5 * x) * exp(-0.5 * x) / x)
+        else:
+            out.append(sinh(0.5 * x) * sin(0.5 * x) / (x * (cosh(x) + cos(x))))
+    return out
+
+
+@_weight(F.FORM_SECH_AUX)
+def _sech_aux(p1, p2, xs):
+    out = []
+    for x in xs:
         e = p1 * x * x / pi
         if e > 745.0:
-            return 0.0
-        base = exp(-e) * _sech(x)
-        return x * base if p2 == 1.0 else base
-    if form == F.FORM_TP_RHS3_U:
-        sech = _sech(_SQRT_PI * x)
-        if p2 == F.FSEL_EXP:
-            e = p1 * x * x
-            return 2.0 * x * exp(-e) * sech if e <= 745.0 else 0.0
-        if p2 == F.FSEL_EXP_SQRT:
-            e = p1 * x * x
-            return (2.0 / _SQRT_PI) * exp(-e) * sech if e <= 745.0 else 0.0
-        return (2.0 / _SQRT_PI) * sin(p1 * x * x) * sech
-    if form == F.FORM_TP_RHS1_U:
+            out.append(0.0)
+        else:
+            base = exp(-e) * _sech(x)
+            out.append(x * base if p2 == 1.0 else base)
+    return out
+
+
+@_weight(F.FORM_TP_RHS3_U)
+def _tp_rhs3_u(p1, p2, xs):
+    sechs = [_sech(_SQRT_PI * x) for x in xs]
+    if p2 == F.FSEL_EXP:
+        return [
+            2.0 * x * exp(-e) * sech if (e := p1 * x * x) <= 745.0 else 0.0
+            for x, sech in zip(xs, sechs)
+        ]
+    if p2 == F.FSEL_EXP_SQRT:
+        return [
+            (2.0 / _SQRT_PI) * exp(-e) * sech if (e := p1 * x * x) <= 745.0 else 0.0
+            for x, sech in zip(xs, sechs)
+        ]
+    return [(2.0 / _SQRT_PI) * sin(p1 * x * x) * sech for x, sech in zip(xs, sechs)]
+
+
+@_weight(F.FORM_TP_RHS1_U)
+def _tp_rhs1_u(p1, p2, xs):
+    ratios = []
+    for x in xs:
         b = _TP1_C2 * x
         if b > 350.0:
-            ratio = exp((_TP1_C1 - _TP1_C2) * x) * (1.0 - exp(-2.0 * _TP1_C1 * x))
+            ratios.append(exp((_TP1_C1 - _TP1_C2) * x) * (1.0 - exp(-2.0 * _TP1_C1 * x)))
         else:
-            ratio = sinh(_TP1_C1 * x) / cosh(b)
-        if p2 == F.FSEL_EXP:
-            e = p1 * x * x
-            return 2.0 * _SQRT_PI * exp(-e) * ratio if e <= 745.0 else 0.0
-        if p2 == F.FSEL_EXP_SQRT:
-            e = p1 * x * x
-            return (2.0 / x) * exp(-e) * ratio if e <= 745.0 else 0.0
-        return (2.0 / x) * sin(p1 * x * x) * ratio
-    raise ValueError(f"unknown form id {form}")
+            ratios.append(sinh(_TP1_C1 * x) / cosh(b))
+    if p2 == F.FSEL_EXP:
+        return [
+            2.0 * _SQRT_PI * exp(-e) * ratio if (e := p1 * x * x) <= 745.0 else 0.0
+            for x, ratio in zip(xs, ratios)
+        ]
+    if p2 == F.FSEL_EXP_SQRT:
+        return [
+            (2.0 / x) * exp(-e) * ratio if (e := p1 * x * x) <= 745.0 else 0.0
+            for x, ratio in zip(xs, ratios)
+        ]
+    return [(2.0 / x) * sin(p1 * x * x) * ratio for x, ratio in zip(xs, ratios)]
+
+
+def _weights(form: int, p1: float, p2: float, xs: Sequence[float]) -> list:
+    """The weight of ``form`` at each abscissa of xs, as the C twin gives it.
+
+    Python raises where C returns inf or NaN (cos(inf), an overflowing
+    exp or **, a division by zero); then the nodes are redone one by one
+    and those that raise take the form's ``fault`` value, so the hot path
+    carries no guard.
+    """
+    entry = _WEIGHTS.get(form)
+    if entry is None:
+        raise ValueError(f"unknown form id {form}")
+    w, fault = entry
+    try:
+        return w(p1, p2, xs)
+    except _FAULTS:
+        return [_weight_at(w, fault, p1, p2, x) for x in xs]
+
+
+def _weight_at(w: _Weight, fault: float, p1: float, p2: float, x: float) -> float:
+    try:
+        return w(p1, p2, (x,))[0]
+    except _FAULTS:
+        return fault
+
+
+def kernel_weight(form: int, p1: float, p2: float, x: float) -> float:
+    """The weight f(x) multiplying the eta power; see _forms for the table."""
+    return _weights(form, p1, p2, (x,))[0]
 
 
 def integrand(form: int, n: int, p1: float, p2: float, x: float) -> float:
@@ -505,32 +641,56 @@ def panel(
         c = p1 * hl
         if c > _FILON_C_MIN:
             return _filon(form, p1, centr, hl, c, _memoised(n, _FILON, a, b, centr, hl))
-    g = _ONES if n == 0 else _memoised(n, _GK15, a, b, centr, hl)
-    # The weight times the memoized eta^n, short-circuited at w = 0 as in integrand.
-    w = kernel_weight(form, p1, p2, centr)
-    fc = w if w == 0.0 else w * g[7]
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    resabs = abs(resk)
-    fv1 = [0.0] * 7
-    fv2 = [0.0] * 7
-    for j in range(7):
-        dx = hl * _XGK[j]
-        w1 = kernel_weight(form, p1, p2, centr - dx)
-        w2 = kernel_weight(form, p1, p2, centr + dx)
-        f1 = w1 if w1 == 0.0 else w1 * g[14 - j]
-        f2 = w2 if w2 == 0.0 else w2 * g[j]
-        fv1[j] = f1
-        fv2[j] = f2
-        s = f1 + f2
-        resk += _WGK[j] * s
-        if j % 2 == 1:
-            resg += _WG[(j - 1) // 2] * s
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
+    # The weight at the 15 nodes in g's order (centr + hl (-t) is centr - hl t
+    # to the bit), times the memoised eta^n, short-circuited at w = 0 as in
+    # integrand (w and w * g is w where w == 0.0).
+    xs = [centr + hl * t for t in _GK_T]
+    xs[7] = centr  # not centr + hl * 0.0, which differs at centr = -0.0 or hl = inf
+    f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, f10, f11, f12, f13, f14 = _weights(form, p1, p2, xs)
+    if n != 0:
+        g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12, g13, g14 = _memoised(
+            n, _GK15, a, b, centr, hl
+        )
+        f0 = f0 and f0 * g0
+        f1 = f1 and f1 * g1
+        f2 = f2 and f2 * g2
+        f3 = f3 and f3 * g3
+        f4 = f4 and f4 * g4
+        f5 = f5 and f5 * g5
+        f6 = f6 and f6 * g6
+        f7 = f7 and f7 * g7
+        f8 = f8 and f8 * g8
+        f9 = f9 and f9 * g9
+        f10 = f10 and f10 * g10
+        f11 = f11 and f11 * g11
+        f12 = f12 and f12 * g12
+        f13 = f13 and f13 * g13
+        f14 = f14 and f14 * g14
+    # The QUADPACK sums, term by term in the C twin's loop order: j = 0..6
+    # pairs the nodes centr -/+ hl t_j, f[14 - j] and f[j].
+    s0 = f14 + f0
+    s1 = f13 + f1
+    s2 = f12 + f2
+    s3 = f11 + f3
+    s4 = f10 + f4
+    s5 = f9 + f5
+    s6 = f8 + f6
+    k7 = _K7 * f7
+    resk = k7 + _K0 * s0 + _K1 * s1 + _K2 * s2 + _K3 * s3 + _K4 * s4 + _K5 * s5 + _K6 * s6
+    resg = _G3 * f7 + _G0 * s1 + _G1 * s3 + _G2 * s5
+    resabs = (
+        abs(k7) + _K0 * (abs(f14) + abs(f0)) + _K1 * (abs(f13) + abs(f1))
+        + _K2 * (abs(f12) + abs(f2)) + _K3 * (abs(f11) + abs(f3))
+        + _K4 * (abs(f10) + abs(f4)) + _K5 * (abs(f9) + abs(f5)) + _K6 * (abs(f8) + abs(f6))
+    )
     reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resasc = (
+        _K7 * abs(f7 - reskh)
+        + _K0 * (abs(f14 - reskh) + abs(f0 - reskh)) + _K1 * (abs(f13 - reskh) + abs(f1 - reskh))
+        + _K2 * (abs(f12 - reskh) + abs(f2 - reskh)) + _K3 * (abs(f11 - reskh) + abs(f3 - reskh))
+        + _K4 * (abs(f10 - reskh) + abs(f4 - reskh)) + _K5 * (abs(f9 - reskh) + abs(f5 - reskh))
+        + _K6 * (abs(f8 - reskh) + abs(f6 - reskh))
+    )
     value = resk * hl
     resabs *= abs(hl)
     resasc *= abs(hl)

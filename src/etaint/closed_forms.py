@@ -226,12 +226,21 @@ def scaled_erfc_recip_eta3(a: float) -> float:
     return (specfun.digamma(z + 0.75) - specfun.digamma(z + 0.25)) / (pi * sqrt(a))
 
 
+def _sqrt_half_pi(y: float) -> float:
+    """v = sqrt(pi y/2) of A11 and A12, y >= 0.  Beyond y = 5.7e307, where
+    pi y overflows, v comes as sqrt(pi/2) sqrt(y) (about 1.3e154)."""
+    v = sqrt(pi * y / 2.0)
+    if v == math.inf:
+        v = sqrt(pi / 2.0) * sqrt(y)
+    return v
+
+
 def fourier_cos_eta3(y: float) -> float:
     """A11: int cos(xy) eta^3(ix) dx."""
     y = _finite(y, "y")
     if y < 0.0:
         raise DomainError(f"A11 requires y >= 0, got {y}")
-    v = sqrt(pi * y / 2.0)
+    v = _sqrt_half_pi(y)
     if v > 350.0:
         # divided through by e^{2v}/4, with E = e^{-2v}: nothing overflows
         big_e = exp(-2.0 * v)
@@ -245,7 +254,7 @@ def fourier_sin_eta3(y: float) -> float:
     y = _finite(y, "y")
     if y < 0.0:
         raise DomainError(f"A12 requires y >= 0, got {y}")
-    v = sqrt(pi * y / 2.0)
+    v = _sqrt_half_pi(y)
     if v > 350.0:
         # as in fourier_cos_eta3, with sinh v = e^v (1 - E)/2
         big_e = exp(-2.0 * v)

@@ -199,6 +199,13 @@ def erfc_scaled(x: float) -> float:
     x = _require_finite(x, "x")
     if x < 0.0:
         raise DomainError(f"erfc_scaled requires x >= 0, got {x}")
+    return erfc_scaled_unchecked(x)
+
+
+def erfc_scaled_unchecked(x: float) -> float:
+    """``erfc_scaled`` without its argument checks, for the pure-Python
+    quadrature kernel's inner loop: x >= 0, or +inf (which gives 0.0, the
+    limit, as in the C twin)."""
     if x < 26.0:
         return exp(x * x) * math.erfc(x)
     r2 = 0.5 / (x * x)

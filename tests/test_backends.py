@@ -111,6 +111,48 @@ class TestTwins:
             assert py.panel(form, n, p1, p2, a, b) == cy.panel(form, n, p1, p2, a, b), (a, b)
 
 
+# The parameters at which the CLI's weights overflow (A8 and A10 at
+# a = 1e300, A9 at b = 1e307) and the largest double, at abscissae down to
+# 0: the pure weights raise there where C returns inf or NaN.
+_HUGE = (1e300, 1e307, sys.float_info.max)
+_EDGE_XS = [0.0, 5e-324, 1e-300] + XS + [1e300]
+
+
+def _outcome(f, *args):
+    """repr of f(*args) (equal for two NaNs, not for 0.0 and -0.0), or the
+    type of the exception it raises."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", sorted(F.FORMS))
+def test_twins_match_at_overflowing_parameters(name):
+    py, cy = _BACKENDS["python"], _BACKENDS["compiled"]
+    row = F.FORMS[name]
+    p1s = [p for p in _HUGE + (0.0,) if row.a_min is None or p > row.a_min or
+           p == row.a_min and not row.a_open]
+    if row.a_min is None:
+        p1s += [-p for p in _HUGE]
+    cases = [case for case in CASES if case[0] == row.id]
+    for p1 in p1s:
+        for p2 in sorted({p2 for _, _, _, p2 in cases}):
+            for x in _EDGE_XS:
+                args = (row.id, p1, p2, x)
+                assert _outcome(py.kernel_weight, *args) == _outcome(cy.kernel_weight, *args), args
+            # panels the quadrature can form: near its lower limit and below 1
+            for n in sorted({n for _, n, _, _ in cases}):
+                for a, b in [(0.0, 0.25), (1e-12, 2e-12), (0.5, 1.0)]:
+                    args = (row.id, n, p1, p2, a, b)
+                    assert _outcome(py.panel, *args) == _outcome(cy.panel, *args), args
+
+
+def test_weight_table_has_one_function_per_form():
+    assert sorted(_BACKENDS["python"]._WEIGHTS) == sorted(row.id for row in F.FORMS.values())
+
+
 # Distinct eta panels of both rules (Filon: c = p1 (b - a)/2 = 25 forward,
 # 5 and 10 solved), then the first ones (evicted) and the last ones (still
 # held) again under another weight of the same rule and n: at the same c

@@ -82,6 +82,19 @@ class TestParameterEdges:
         assert code == cli.USAGE_ERROR and out == ""
         assert err.startswith(f"error: {ident} at {param}=1e+300:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "ident,param", [("A8", "a=1e300"), ("A9", "b=1e307"), ("A10", "a=1e300"),
+                        ("A11", "y=1e308"), ("A12", "y=1e308")]
+    )
+    def test_overflowing_parameter_gives_a_record_or_a_usage_error(self, capsys, ident, param):
+        # The weight overflows near x = 0 (A8-A10) or pi y does (A11, A12);
+        # cli.main raising would be a traceback.
+        code, out, err = run_cli(capsys, "eval", "--identity", ident, "--param", param)
+        if code == cli.USAGE_ERROR:
+            assert out == "" and err.startswith(f"error: {ident} at") and err.count("\n") == 1
+        else:
+            assert code in (0, 1) and err == "" and out.count(f"{ident} ") == 1
+
     def test_a15_whose_tail_bound_overflows_is_usage_error(self, capsys):
         # x^164 eta^3: the tail bound beyond any cutoff exceeds the doubles
         code, out, err = run_cli(capsys, "eval", "--identity", "A15", "--param", "n=164")

@@ -1,6 +1,7 @@
 """Closed-form evaluators against series oracles and limit relations."""
 
 import math
+import sys
 import re
 
 import pytest
@@ -144,6 +145,12 @@ class TestFourierLargeY:
         want = fourier_rhs_mp(ident, y)
         assert math.isfinite(got)
         assert abs(got - want) <= 1e-11 * abs(want) + 1e-320, (got, want)
+
+    @pytest.mark.parametrize("y", [1e308, sys.float_info.max])
+    @pytest.mark.parametrize("ident", ["A11", "A12"])
+    def test_eta3_forms_where_pi_y_overflows(self, ident, y):
+        # beyond y = 5.7e307, where v = sqrt(pi y/2) no longer comes from pi y
+        assert _FOURIER_FORMS[ident](y) == 0.0 == fourier_rhs_mp(ident, y)
 
 
 class TestLaplaceEta3:

@@ -491,7 +491,7 @@ class TestKernelSpecValidation:
 
     def test_negative_parameters_rejected(self):
         bounded = {name: row for name, row in FORMS.items() if row.a_min is not None}
-        assert "im_rsqrt" in bounded and "exp" in bounded
+        assert {"im_rsqrt", "exp", "tp_rhs3_u", "tp_rhs1_u"} <= set(bounded)
         for name, row in bounded.items():
             n = 3 if row.eta else 0
             below = row.a_min if row.a_open else row.a_min - 0.5

@@ -235,6 +235,12 @@ class TestErfFamily:
             with pytest.raises(DomainError):
                 fn(bad)
 
+    def test_unchecked_scaled_core(self):
+        # the kernels' inner loop: the same value, and the limit 0 at +inf
+        for x in (0.0, 1.0, 25.5, 26.5, 1e154):
+            assert specfun.erfc_scaled_unchecked(x) == specfun.erfc_scaled(x)
+        assert specfun.erfc_scaled_unchecked(math.inf) == 0.0
+
 
 class TestSinhMinusSin:
     @pytest.mark.parametrize("x", [1e-8, 1e-3, 0.1, 0.499, 0.5, 2.0, 20.0])
