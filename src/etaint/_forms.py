@@ -7,8 +7,8 @@ whether it carries an eta factor, the domain of its parameters, the
 weight's own decay model, and for exp, cos and sin the weight's exact
 Laplace tail.  Adding a form takes one row here plus its weight code in
 each twin: a case of ``kernel_weight`` in ``_ckernels.c``, and in
-``_pykernels.py`` a function over a panel's abscissae registered in its
-``_WEIGHTS`` table (with the value C gives where Python raises).
+``_pykernels.py`` a function over a panel's abscissae, listed in its
+``_WEIGHTS`` table with the value C gives where Python raises.
 
 Weight definitions (p1, p2 are the slots of the primary and secondary
 parameter; u denotes the integration variable of the substituted

@@ -27,8 +27,7 @@ all the panel's abscissae in a comprehension or a local loop;
 once.  Where Python raises and C's libm or division returns inf or NaN
 (cos(inf), an overflowing exp or **, a division by zero), ``_weights``
 redoes the panel node by node and gives a node that raises the value C
-gives there, registered with the function; the hot path carries no
-guard.  The GK15 sums are written out term by term, in the order of the
+gives there, listed with the function; the hot path carries no guard.  The GK15 sums are written out term by term, in the order of the
 C twin's loop (Python evaluates a + b + c as (a + b) + c), so they round
 as C's do.
 
@@ -294,73 +293,44 @@ def _sech(x: float) -> float:
     return 1.0 / cosh(x)
 
 
-# The weights: one function per _forms.FORMS row, w(p1, p2, xs) -> the
-# weight at each abscissa of xs, registered under its form id with the
-# value C gives where Python raises (see _weights).
-_Weight = Callable[[float, float, Sequence[float]], list]
-_WEIGHTS: dict[int, tuple[_Weight, float]] = {}
-# What Python raises where C's libm and division return inf or NaN.
-_FAULTS = (OverflowError, ValueError, ZeroDivisionError)
-
-
-def _weight(form: int, fault: float = nan) -> Callable[[_Weight], _Weight]:
-    """Registers a weight function of ``form`` in _WEIGHTS; ``fault`` is the C
-    twin's value at a node where the function raises, over the form's
-    parameter domain."""
-
-    def register(w: _Weight) -> _Weight:
-        _WEIGHTS[form] = (w, fault)
-        return w
-
-    return register
-
-
-@_weight(F.FORM_POWER, inf)  # x^-p1 overflows, or x = 0 < p1
+# The weights of _forms, as the C twin's kernel_weight computes them:
+# w(p1, p2, xs) is the weight at each abscissa of xs.
 def _power(p1, p2, xs):
     return [x ** (-p1) for x in xs]
 
 
-@_weight(F.FORM_EXP)
 def _exp(p1, p2, xs):
     return [exp(-e) if (e := p1 * x) <= 745.0 else 0.0 for x in xs]
 
 
-@_weight(F.FORM_COS)  # p1 x overflows: cos(inf) is NaN
 def _cos(p1, p2, xs):
     return [cos(p1 * x) for x in xs]
 
 
-@_weight(F.FORM_SIN)
 def _sin(p1, p2, xs):
     return [sin(p1 * x) for x in xs]
 
 
-@_weight(F.FORM_EXP_RECIP, 0.0)  # x = 0: p1/x is inf or NaN, not <= 745
 def _exp_recip(p1, p2, xs):
     return [exp(-e) / sqrt(x) if (e := p1 / x) <= 745.0 else 0.0 for x in xs]
 
 
-@_weight(F.FORM_COS_RECIP)
 def _cos_recip(p1, p2, xs):
     return [cos(p1 / x) / sqrt(x) for x in xs]
 
 
-@_weight(F.FORM_ERF_WEIGHT)  # x = 0: 0/0
 def _erf_weight(p1, p2, xs):
     return [erf(sqrt(p1 * x)) / sqrt(x) for x in xs]
 
 
-@_weight(F.FORM_SCALED_ERFC_RECIP)
 def _scaled_erfc_recip(p1, p2, xs):
     return [erfc_scaled_unchecked(sqrt(p1 / x)) / sqrt(x) for x in xs]
 
 
-@_weight(F.FORM_SHIFTED_RECIP, inf)  # x + p1 = 0
 def _shifted_recip(p1, p2, xs):
     return [(x + p1) ** (-p2) for x in xs]
 
 
-@_weight(F.FORM_SQRT_SHIFT)
 def _sqrt_shift(p1, p2, xs):
     out = []
     for x in xs:
@@ -370,12 +340,10 @@ def _sqrt_shift(p1, p2, xs):
     return out
 
 
-@_weight(F.FORM_EXP_OVER_X, inf)  # x = 0: 1/0
 def _exp_over_x(p1, p2, xs):
     return [exp(-e) / x if (e := p1 * x) <= 745.0 else 0.0 for x in xs]
 
 
-@_weight(F.FORM_IM_RSQRT)
 def _im_rsqrt(p1, p2, xs):
     out = []
     for x in xs:
@@ -384,7 +352,6 @@ def _im_rsqrt(p1, p2, xs):
     return out
 
 
-@_weight(F.FORM_GLAISHER11)
 def _glaisher11(p1, p2, xs):
     out = []
     for x in xs:
@@ -397,7 +364,6 @@ def _glaisher11(p1, p2, xs):
     return out
 
 
-@_weight(F.FORM_GLAISHER17)
 def _glaisher17(p1, p2, xs):
     out = []
     for x in xs:
@@ -410,7 +376,6 @@ def _glaisher17(p1, p2, xs):
     return out
 
 
-@_weight(F.FORM_SECH_AUX)
 def _sech_aux(p1, p2, xs):
     out = []
     for x in xs:
@@ -423,7 +388,6 @@ def _sech_aux(p1, p2, xs):
     return out
 
 
-@_weight(F.FORM_TP_RHS3_U)
 def _tp_rhs3_u(p1, p2, xs):
     sechs = [_sech(_SQRT_PI * x) for x in xs]
     if p2 == F.FSEL_EXP:
@@ -439,7 +403,6 @@ def _tp_rhs3_u(p1, p2, xs):
     return [(2.0 / _SQRT_PI) * sin(p1 * x * x) * sech for x, sech in zip(xs, sechs)]
 
 
-@_weight(F.FORM_TP_RHS1_U)
 def _tp_rhs1_u(p1, p2, xs):
     ratios = []
     for x in xs:
@@ -461,13 +424,39 @@ def _tp_rhs1_u(p1, p2, xs):
     return [(2.0 / x) * sin(p1 * x * x) * ratio for x, ratio in zip(xs, ratios)]
 
 
+# One weight function per _forms.FORMS row, with the value C gives, over
+# the form's parameter domain, at a node where the function raises.
+_Weight = Callable[[float, float, Sequence[float]], list]
+_WEIGHTS: dict[int, tuple[_Weight, float]] = {
+    F.FORM_POWER: (_power, inf),  # x^-p1 overflows, or x = 0 < p1
+    F.FORM_EXP: (_exp, nan),
+    F.FORM_COS: (_cos, nan),  # p1 x overflows: cos(inf) is NaN
+    F.FORM_SIN: (_sin, nan),
+    F.FORM_EXP_RECIP: (_exp_recip, 0.0),  # x = 0: p1/x is inf or NaN, not <= 745
+    F.FORM_COS_RECIP: (_cos_recip, nan),
+    F.FORM_ERF_WEIGHT: (_erf_weight, nan),  # x = 0: 0/0
+    F.FORM_SCALED_ERFC_RECIP: (_scaled_erfc_recip, nan),
+    F.FORM_SHIFTED_RECIP: (_shifted_recip, inf),  # x + p1 = 0
+    F.FORM_SQRT_SHIFT: (_sqrt_shift, nan),
+    F.FORM_EXP_OVER_X: (_exp_over_x, inf),  # x = 0: 1/0
+    F.FORM_IM_RSQRT: (_im_rsqrt, nan),
+    F.FORM_GLAISHER11: (_glaisher11, nan),
+    F.FORM_GLAISHER17: (_glaisher17, nan),
+    F.FORM_SECH_AUX: (_sech_aux, nan),
+    F.FORM_TP_RHS3_U: (_tp_rhs3_u, nan),
+    F.FORM_TP_RHS1_U: (_tp_rhs1_u, nan),
+}
+# What Python raises where C's libm and division return inf or NaN.
+_FAULTS = (OverflowError, ValueError, ZeroDivisionError)
+
+
 def _weights(form: int, p1: float, p2: float, xs: Sequence[float]) -> list:
     """The weight of ``form`` at each abscissa of xs, as the C twin gives it.
 
     Python raises where C returns inf or NaN (cos(inf), an overflowing
     exp or **, a division by zero); then the nodes are redone one by one
-    and those that raise take the form's ``fault`` value, so the hot path
-    carries no guard.
+    and those that raise take the form's value in _WEIGHTS, so the hot
+    path carries no guard.
     """
     entry = _WEIGHTS.get(form)
     if entry is None:

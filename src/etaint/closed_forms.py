@@ -228,7 +228,7 @@ def scaled_erfc_recip_eta3(a: float) -> float:
 
 def _sqrt_half_pi(y: float) -> float:
     """v = sqrt(pi y/2) of A11 and A12, y >= 0.  Beyond y = 5.7e307, where
-    pi y overflows, v comes as sqrt(pi/2) sqrt(y) (about 1.3e154)."""
+    pi y overflows, v comes as sqrt(pi/2) sqrt(y), which stays below 1.7e154."""
     v = sqrt(pi * y / 2.0)
     if v == math.inf:
         v = sqrt(pi / 2.0) * sqrt(y)

@@ -1,8 +1,8 @@
 """Closed-form evaluators against series oracles and limit relations."""
 
 import math
-import sys
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
