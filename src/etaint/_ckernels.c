@@ -5,12 +5,15 @@
  * agree bit for bit (both sit on the same libm).  The form ids mirror
  * etaint._forms.  Building needs only a C compiler and the Python headers.
  *
- * The panel has two rules: cos/sin kernels on a panel with
+ * The panel has three rules: cos/sin kernels on a panel with
  * c = p1 (b - a)/2 > 3 use a Filon-Clenshaw-Curtis rule (eta^n at 15
  * Chebyshev-Lobatto nodes, integrated against cos/sin exactly through
  * Chebyshev moments: by forward recurrence for c > 14, and for c <= 14 by
- * forward recurrence below degree c and a boundary-value solve above),
- * every other panel is Gauss-Kronrod 7/15.
+ * forward recurrence below degree c and a boundary-value solve above);
+ * the cos_recip kernel on a panel 0 < a < b takes the same cos rule in
+ * t = 1/x (RULE_RECIP), where cos(p1/x) x^{-1/2} eta^n(ix) dx becomes
+ * cos(p1 t) x^{3/2} eta^n(ix) dt over [1/b, 1/a], when
+ * c = p1 (1/a - 1/b)/2 > 3; every other panel is Gauss-Kronrod 7/15.
  *
  * Panels recur: the adaptive quadrature of every record starts from
  * dyadic breakpoints (with an eta factor, powers of two graded from a
@@ -20,16 +23,17 @@
  * not depend on the weight.
  * `panel` keeps what each rule consumes of those node values in a static
  * direct-mapped table of MEMO_SIZE = 1024 panels (a payload of 24 doubles
- * each, about 220 KB in all), keyed by n, the rule (GK15 and Filon nodes
- * differ) and the exact doubles a and b; a colliding panel replaces the
- * slot's entry.  A GK15 entry holds the 15 node values, so a hit
- * evaluates only the weight; a Filon entry holds their 15 + 8 DCT sums
- * and |g| sum (cheb_sums), so a hit does 15 multiply-adds with the
- * moments plus cos/sin(p1 centr).  Panels with n = 0 (the auxiliary
- * integrands, right-hand sides among them) bypass the table, so no
- * right-hand side reads a value computed for a left-hand side.  The
- * moments depend only on c, which recurs with the dyadic panel widths,
- * so `moments` keeps a second direct-mapped table of MU_MEMO_SIZE = 256
+ * each, about 220 KB in all), keyed by n, the rule (the three rules
+ * sample different nodes or factors) and the exact doubles a and b; a
+ * colliding panel replaces the slot's entry.  A GK15 entry holds the 15
+ * node values, so a hit evaluates only the weight; a Filon or RULE_RECIP
+ * entry holds their 15 + 8 DCT sums and |g| sum (cheb_sums), so a hit
+ * does 15 multiply-adds with the moments plus cos/sin(p1 centr).  Panels
+ * with n = 0 (the auxiliary integrands, right-hand sides among them)
+ * bypass the table, so no right-hand side reads a value computed for a
+ * left-hand side.  The moments depend only on c, which recurs with the
+ * dyadic panel widths (less so in t = 1/x, where widths are not), so
+ * `moments` keeps a second direct-mapped table of MU_MEMO_SIZE = 256
  * moment sets (32 KB) keyed by the exact c.  Sums run in the same order
  * either way, so a hit and a miss give the same result to the bit.  The
  * tables are touched only with the GIL held.
@@ -105,10 +109,12 @@ static const double WCC[8] = {
     0.218881511630573401798394396735233366, 0.224296338582052867767153481439195725,
 };
 
-/* The panel rules, as memo keys, and their node tables t: both rules
- * sample eta^n at centr + hl t_j and centr - hl t_j (j = 0..6) and at centr. */
-enum rule_id { RULE_GK15 = 0, RULE_FILON = 1 };
-static const double *const NODES[2] = {XGK, CHEB};
+/* The panel rules, as memo keys, and their node tables t: every rule
+ * samples its eta factor at centr + hl t_j and centr - hl t_j (j = 0..6)
+ * and at centr.  RULE_RECIP is the Filon rule of a cos_recip panel in
+ * t = 1/x (see panel), whose centr and hl are the panel's in t. */
+enum rule_id { RULE_GK15 = 0, RULE_FILON = 1, RULE_RECIP = 2 };
+static const double *const NODES[3] = {XGK, CHEB, CHEB};
 
 #define MEMO_SIZE 1024   /* a power of two */
 #define MU_MEMO_SIZE 256 /* a power of two */
@@ -120,9 +126,9 @@ struct cheb_sums {
     double s14[15], s7[8], resabs;
 };
 
-/* kind = 2 n + rule keys n and the rule at once; an empty slot has
+/* kind = 4 n + rule keys n and the rule at once; an empty slot has
  * kind == 0, which no lookup asks for (n != 0).  A GK15 entry holds eta^n
- * at its 15 nodes, a Filon entry their cheb_sums. */
+ * at its 15 nodes, a Filon or RULE_RECIP entry their cheb_sums. */
 struct memo_entry {
     double a, b;
     long long kind;
@@ -237,8 +243,11 @@ static double eta3_point(double x)
 {
     if (x <= 0.0)
         return 0.0;
-    if (x < 1.0)
-        return eta3_series(1.0 / x) / (x * sqrt(x));
+    if (x < 1.0) {
+        /* The series is 0 below x = 1e-3, before x sqrt(x) can underflow to 0. */
+        double s = eta3_series(1.0 / x);
+        return s == 0.0 ? s : s / (x * sqrt(x));
+    }
     return eta3_series(x);
 }
 
@@ -251,11 +260,36 @@ static uint64_t mix(uint64_t h)
     return h;
 }
 
-/* eta^n at the panel's 15 nodes: [j] at centr + hl t_j, [14 - j] at
- * centr - hl t_j (j < 7) and [7] at centr; n != 0. */
+/* The eta factor of a cos_recip panel in t = 1/x: x^{3/2} eta^n(ix) at
+ * x = 1/t, and 0 where t <= 0 or eta^n(ix) is 0; see _in_recip in the
+ * Python twin. */
+static double in_recip(double (*eta)(double), double t)
+{
+    double x = t > 0.0 ? 1.0 / t : 0.0;
+    double e = eta(x);
+    return e == 0.0 ? e : e * (x * sqrt(x));
+}
+
+static double eta_recip(double t)
+{
+    return in_recip(eta_point, t);
+}
+
+static double eta3_recip(double t)
+{
+    return in_recip(eta3_point, t);
+}
+
+/* The rule's eta factor at the panel's 15 nodes: [j] at centr + hl t_j,
+ * [14 - j] at centr - hl t_j (j < 7) and [7] at centr; eta^n, or for
+ * RULE_RECIP its value in t = 1/x; n != 0. */
 static void eta_nodes(int n, int rule, double centr, double hl, double g[15])
 {
-    double (*eta)(double) = n == 1 ? eta_point : eta3_point;
+    double (*eta)(double);
+    if (rule == RULE_RECIP)
+        eta = n == 1 ? eta_recip : eta3_recip;
+    else
+        eta = n == 1 ? eta_point : eta3_point;
     const double *t = NODES[rule];
     g[7] = eta(centr);
     for (int j = 0; j < 7; j++) {
@@ -306,11 +340,11 @@ static void cheb_sums(const double g[15], struct cheb_sums *out)
 }
 
 /* The memo entry of [a, b] for the rule, filled on a miss: eta_nodes for
- * GK15, their cheb_sums for Filon; n != 0. */
+ * GK15, their cheb_sums for Filon and RULE_RECIP; n != 0. */
 static const struct memo_entry *memoised(int n, int rule, double a, double b, double centr,
                                          double hl)
 {
-    long long kind = 2LL * n + rule;
+    long long kind = 4LL * n + rule;
     uint64_t ua, ub;
     memcpy(&ua, &a, sizeof ua);
     memcpy(&ub, &b, sizeof ub);
@@ -521,8 +555,9 @@ static void filon(int form, double p1, double centr, double hl, double c,
     out[2] = resabs;
 }
 
-/* One quadrature panel over [a, b]: Filon for oscillating cos/sin, else
- * Gauss-Kronrod 7/15; see the Python twin. */
+/* One quadrature panel over [a, b]: Filon for oscillating cos/sin and
+ * cos_recip (the latter in t = 1/x), else Gauss-Kronrod 7/15; see the
+ * Python twin. */
 static void panel(int form, int n, double p1, double p2, double a, double b,
                   double out[3])
 {
@@ -533,6 +568,16 @@ static void panel(int form, int n, double p1, double p2, double a, double b,
         if (c > FILON_C_MIN) {
             const struct memo_entry *e = memoised(n, RULE_FILON, a, b, centr, hl);
             filon(form, p1, centr, hl, c, &e->u.cheb, out);
+            return;
+        }
+    } else if (form == FORM_COS_RECIP && n != 0 && a > 0.0 && b > a) {
+        double ta = 1.0 / a, tb = 1.0 / b;
+        double hl_t = 0.5 * (ta - tb);
+        double c = p1 * hl_t;
+        if (c > FILON_C_MIN) {
+            double centr_t = 0.5 * (ta + tb);
+            const struct memo_entry *e = memoised(n, RULE_RECIP, a, b, centr_t, hl_t);
+            filon(FORM_COS, p1, centr_t, hl_t, c, &e->u.cheb, out);
             return;
         }
     }

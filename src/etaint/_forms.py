@@ -127,6 +127,9 @@ FORMS: dict[str, Form] = {
     "cos": Form(FORM_COS, True, _power_law(0.0), a_min=0.0, laplace_tail=_cos_tail),
     "sin": Form(FORM_SIN, True, _power_law(0.0), a_min=0.0, laplace_tail=_sin_tail),
     "exp_recip": Form(FORM_EXP_RECIP, True, _power_law(-0.5), a_min=0.0),
+    # Oscillates in t = 1/x: the kernels take its panels with
+    # c = a (1/x_a - 1/x_b)/2 > 3 by the cos Filon rule in t, where the
+    # factor beside cos(a t) is x^{3/2} eta^n(ix).
     "cos_recip": Form(FORM_COS_RECIP, True, _power_law(-0.5), a_min=0.0),
     "erf_weight": Form(FORM_ERF_WEIGHT, True, _power_law(-0.5), a_min=0.0),
     "scaled_erfc_recip": Form(

@@ -8,17 +8,22 @@ Exports: ``eta_point``, ``eta3_point`` (machine-precision eta powers for
 integrand use), ``kernel_weight``, ``integrand`` and ``panel`` (one
 quadrature panel: 15 evaluations of the integrand or of its eta factor).
 
-``panel`` has two rules.  The cos and sin kernels on a panel with
+``panel`` has three rules.  The cos and sin kernels on a panel with
 c = p1 (b - a)/2 > 3 (more than 3/pi, about 1, period), use a
 Filon-Clenshaw-Curtis rule: eta^n is interpolated at 15 Chebyshev-Lobatto
 nodes and the interpolant is integrated against cos/sin exactly through
 Chebyshev moments (the rule of QUADPACK's qawo), so the panel count
-follows eta, not the oscillation.  Every other panel is Gauss-Kronrod
-7/15.  The moments' forward recurrence is stable only while the degree
-stays below c: for c > 14 it gives all 15, for 3 < c <= 14 it runs to
-degree int(c) - 1 and the rest come from the same recurrence solved as a
-boundary-value problem up to degree 40 (QUADPACK's qc25f does the same
-for 2 < c <= 24).
+follows eta, not the oscillation.  The moments' forward recurrence is
+stable only while the degree stays below c: for c > 14 it gives all 15,
+for 3 < c <= 14 it runs to degree int(c) - 1 and the rest come from the
+same recurrence solved as a boundary-value problem up to degree 40
+(QUADPACK's qc25f does the same for 2 < c <= 24).  The cos_recip kernel
+oscillates in t = 1/x instead: on a panel 0 < a < b,
+int cos(p1/x) x^{-1/2} eta^n(ix) dx = int cos(p1 t) g(t) dt over
+[1/b, 1/a], with g(t) = x^{3/2} eta^n(ix) at x = 1/t smooth and not
+oscillating, so where c = p1 (1/a - 1/b)/2 > 3 the same cos rule
+integrates it with its nodes in t (rule _RECIP).  Every other panel is
+Gauss-Kronrod 7/15.
 
 A GK15 panel makes one weight call.  ``_WEIGHTS`` holds one function per
 ``_forms.FORMS`` row, w(p1, p2, xs), that evaluates the form's weight at
@@ -27,9 +32,11 @@ all the panel's abscissae in a comprehension or a local loop;
 once.  Where Python raises and C's libm or division returns inf or NaN
 (cos(inf), an overflowing exp or **, a division by zero), ``_weights``
 redoes the panel node by node and gives a node that raises the value C
-gives there, listed with the function; the hot path carries no guard.  The GK15 sums are written out term by term, in the order of the
-C twin's loop (Python evaluates a + b + c as (a + b) + c), so they round
-as C's do.
+gives there, listed with the function; the hot path carries no guard.
+``_filon`` and ``_moments`` likewise take C's NaN where p1 centr or c
+overflows and cos or sin of it raises.  The GK15 sums are written out
+term by term, in the order of the C twin's loop (Python evaluates
+a + b + c as (a + b) + c), so they round as C's do.
 
 Panels recur.  The adaptive quadrature of every record starts from
 dyadic breakpoints (with an eta factor, powers of two graded from a lower
@@ -38,19 +45,20 @@ and bisects at midpoints, so the records of one process keep forming
 the same panels [a, b], and eta^n at a panel's 15 nodes does not depend
 on the weight.
 ``panel`` therefore keeps a per-process memo of what each rule consumes
-of those node values, keyed by n, the rule (the GK15 and Filon nodes
-differ) and the exact doubles a and b: for GK15 the 15 values, for
-Filon the 15 + 8 DCT sums and the |g| sum of ``_cheb_sums``, none of
-which depends on p1.  It holds at most _MEMO_SIZE = 1024 panels; a full
-memo is cleared.  On a hit a GK15 panel evaluates only the weight, and a
-Filon panel does 15 multiply-adds with the moments plus cos/sin(p1 centr).
-Panels with n = 0 (the auxiliary integrands, right-hand sides among
-them) bypass the memo, so no right-hand side reads a value computed for
-a left-hand side.  The moments depend only on c, and panel widths are
-dyadic, so c recurs too: ``_moments`` keeps a second memo, keyed by the
-exact c, of at most _MEMO_SIZE tuples (which no caller can change), also
-cleared when full.  Sums run in the same order either way: hit or miss,
-the result is the same to the bit.
+of those node values, keyed by 4 n + rule (the three rules sample
+different nodes or factors) and the exact doubles a and b: for GK15 the
+15 values, for Filon and _RECIP the 15 + 8 DCT sums and the |g| sum of
+``_cheb_sums``, none of which depends on p1.  It holds at most
+_MEMO_SIZE = 1024 panels; a full memo is cleared.  On a hit a GK15 panel
+evaluates only the weight, and a Filon panel does 15 multiply-adds with
+the moments plus cos/sin(p1 centr).  Panels with n = 0 (the auxiliary
+integrands, right-hand sides among them) bypass the memo, so no
+right-hand side reads a value computed for a left-hand side.  The
+moments depend only on c, and panel widths are dyadic, so c recurs too
+(less so in t = 1/x, where widths are not): ``_moments`` keeps a second
+memo, keyed by the exact c, of at most _MEMO_SIZE tuples (which no
+caller can change), also cleared when full.  Sums run in the same order
+either way: hit or miss, the result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -148,13 +156,16 @@ _GK_T = _XGK[:7] + (0.0,) + tuple(-t for t in _XGK[6::-1])
 _K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
 _G0, _G1, _G2, _G3 = _WG
 
-# The panel rules, as memo keys, and their node tables t: both rules
-# sample eta^n at centr + hl t_j and centr - hl t_j (j = 0..6) and at centr.
+# The panel rules, as memo keys, and their node tables t: every rule
+# samples its eta factor at centr + hl t_j and centr - hl t_j (j = 0..6) and
+# at centr.  _RECIP is the Filon rule of a cos_recip panel in t = 1/x (see
+# panel), whose centr and hl are the panel's in t.
 _GK15 = 0
 _FILON = 1
-_NODES = (_XGK, _CHEB)
+_RECIP = 2
+_NODES = (_XGK, _CHEB, _CHEB)
 _MEMO_SIZE = 1024
-# (2 n + rule, a, b) -> GK15 node values or Filon _cheb_sums; c -> moments.
+# (4 n + rule, a, b) -> GK15 node values or Filon _cheb_sums; c -> moments.
 _memo: dict[tuple[int, float, float], list[float] | tuple] = {}
 _mu_memo: dict[float, tuple[float, ...]] = {}
 
@@ -216,14 +227,36 @@ def eta3_point(x: float) -> float:
     if x <= 0.0:
         return 0.0
     if x < 1.0:
-        return _eta3_series(1.0 / x) / (x * sqrt(x))
+        # The series is 0 below x = 1e-3, before x sqrt(x) can underflow to 0.
+        s = _eta3_series(1.0 / x)
+        return s and s / (x * sqrt(x))
     return _eta3_series(x)
 
 
+def _in_recip(eta: Callable[[float], float]) -> Callable[[float], float]:
+    """The eta factor of a cos_recip panel in t = 1/x: x^{3/2} eta^n(ix) at
+    x = 1/t (dx = -x^2 dt takes x^{-1/2} to x^{3/2}), and 0 where t <= 0
+    or eta^n(ix) is 0, so an x^{3/2} that overflows never multiplies a 0."""
+
+    def g(t: float) -> float:
+        x = 1.0 / t if t > 0.0 else 0.0
+        e = eta(x)
+        return e and e * (x * sqrt(x))
+
+    return g
+
+
+_RECIP_ETA = {1: _in_recip(eta_point), 3: _in_recip(eta3_point)}
+
+
 def _eta_nodes(n: int, rule: int, centr: float, hl: float) -> list[float]:
-    """eta^n at the panel's 15 nodes: [j] at centr + hl t_j, [14 - j] at
-    centr - hl t_j (j < 7) and [7] at centr."""
-    eta = eta_point if n == 1 else eta3_point
+    """The rule's eta factor at the panel's 15 nodes: [j] at centr + hl t_j,
+    [14 - j] at centr - hl t_j (j < 7) and [7] at centr; eta^n, or for
+    _RECIP its value in t = 1/x."""
+    if rule == _RECIP:
+        eta = _RECIP_ETA[n]
+    else:
+        eta = eta_point if n == 1 else eta3_point
     t = _NODES[rule]
     g = [0.0] * 15
     g[7] = eta(centr)
@@ -274,9 +307,10 @@ def _cheb_sums(g: list[float]) -> tuple[tuple[float, ...], tuple[float, ...], fl
 
 def _memoised(n: int, rule: int, a: float, b: float, centr: float, hl: float):
     """What the rule consumes of eta^n on [a, b]: for GK15 the 15 node
-    values, for Filon their ``_cheb_sums``; from the memo when [a, b] was
-    seen before (see the module docstring)."""
-    key = (2 * n + rule, a, b)
+    values, for Filon and _RECIP their ``_cheb_sums``; from the memo when
+    [a, b] was seen before (see the module docstring).  4 n + rule keys n
+    and the rule at once."""
+    key = (4 * n + rule, a, b)
     e = _memo.get(key)
     if e is None:
         g = _eta_nodes(n, rule, centr, hl)
@@ -503,8 +537,11 @@ def _moments(c: float) -> tuple[float, ...]:
     cached = _mu_memo.get(c)
     if cached is not None:
         return cached
-    sc = sin(c)
-    cc = cos(c)
+    try:
+        sc = sin(c)
+        cc = cos(c)
+    except ValueError:  # c = inf, where C's sin and cos give NaN
+        sc = cc = nan
     mu = [0.0] * 15
     mu[0] = 2.0 * sc / c
     mu[1] = 2.0 * (sc - c * cc) / (c * c)
@@ -596,8 +633,11 @@ def _filon(
     for k in range(1, 8, 2):
         q7o += s7[k] * mu[k]
     # cos(p1 x) = wc cos(ct) - ws sin(ct), sin(p1 x) = ws cos(ct) + wc sin(ct).
-    wc = cos(p1 * centr)
-    ws = sin(p1 * centr)
+    try:
+        wc = cos(p1 * centr)
+        ws = sin(p1 * centr)
+    except ValueError:  # p1 centr overflows, where C's cos and sin give NaN
+        wc = ws = nan
     if form == F.FORM_COS:
         fe = wc
         fo = -ws
@@ -618,11 +658,15 @@ def _filon(
 def panel(
     form: int, n: int, p1: float, p2: float, a: float, b: float
 ) -> tuple[float, float, float]:
-    """One quadrature panel over [a, b]: Filon for oscillating cos/sin, else GK15.
+    """One quadrature panel over [a, b]: Filon for oscillating cos/sin and
+    cos_recip, else GK15.
 
     Returns (integral, error estimate, integral of |f|); 15 evaluations.
     Gauss-Kronrod error model as in classic QUADPACK: the |K15-G7|
     difference is sharpened through the scaled deviation integral.
+    A cos_recip panel with 0 < a < b is int cos(p1 t) g(t) dt over
+    [1/b, 1/a] in t = 1/x, g(t) = x^{3/2} eta^n(ix), and takes the cos
+    Filon rule there when c = p1 (1/a - 1/b)/2 > 3.
     """
     centr = 0.5 * (a + b)
     hl = 0.5 * (b - a)
@@ -630,6 +674,15 @@ def panel(
         c = p1 * hl
         if c > _FILON_C_MIN:
             return _filon(form, p1, centr, hl, c, _memoised(n, _FILON, a, b, centr, hl))
+    elif form == F.FORM_COS_RECIP and n != 0 and 0.0 < a < b:
+        ta = 1.0 / a
+        tb = 1.0 / b
+        hl_t = 0.5 * (ta - tb)
+        c = p1 * hl_t
+        if c > _FILON_C_MIN:
+            centr_t = 0.5 * (ta + tb)
+            sums = _memoised(n, _RECIP, a, b, centr_t, hl_t)
+            return _filon(F.FORM_COS, p1, centr_t, hl_t, c, sums)
     # The weight at the 15 nodes in g's order (centr + hl (-t) is centr - hl t
     # to the bit), times the memoised eta^n, short-circuited at w = 0 as in
     # integrand (w and w * g is w where w == 0.0).

@@ -112,6 +112,12 @@ def laplace_eta(t: float) -> float:
 def _laplace_eta_complex(t: complex) -> complex:
     u = 2.0 * cmath.sqrt(pi * t / 3.0)
     v = cmath.sqrt(3.0 * pi * t)
+    if cmath.isinf(v):
+        # Beyond |t| = 1.9e307, where 3 pi t overflows (and pi t from 5.7e307),
+        # the square roots split as in _sqrt_half_pi: sqrt(t) < 1.4e154.
+        r = cmath.sqrt(t)
+        u = 2.0 * sqrt(pi / 3.0) * r
+        v = sqrt(3.0 * pi) * r
     if v.real > 350.0:
         # sinh(u)/cosh(v) in overflow-safe exponential form (Re u, Re v > 0)
         ratio = cmath.exp(u - v) * (1.0 - cmath.exp(-2.0 * u)) / (1.0 + cmath.exp(-2.0 * v))
@@ -196,12 +202,20 @@ def mellin_eta3(nu: float) -> float:
 
 
 def cos_recip_eta3(a: float) -> float:
-    """A8: int x^{-1/2} cos(a/x) eta^3(ix) dx."""
+    """A8: int x^{-1/2} cos(a/x) eta^3(ix) dx
+    = 2 cos(u) cosh(u)/(cos(v) + cosh(v)), u = sqrt(pi a/2), v = sqrt(2 pi a)."""
     a = _finite(a, "a")
     if a < 0.0:
         raise DomainError(f"A8 requires a >= 0, got {a}")
-    u = sqrt(pi * a / 2.0)
+    u = _sqrt_half_pi(a)
     v = sqrt(2.0 * pi * a)
+    if v == math.inf:  # 2 pi a overflows: split as in _sqrt_half_pi
+        v = sqrt(2.0 * pi) * sqrt(a)
+    if v > 350.0:
+        # divided through by e^v/2, with cosh w = e^w (1 + e^{-2w})/2:
+        # nothing overflows
+        num = 2.0 * cos(u) * exp(u - v) * (1.0 + exp(-2.0 * u))
+        return num / (1.0 + exp(-2.0 * v) + 2.0 * cos(v) * exp(-v))
     return 2.0 * cos(u) * cosh(u) / (cos(v) + cosh(v))
 
 
@@ -227,8 +241,9 @@ def scaled_erfc_recip_eta3(a: float) -> float:
 
 
 def _sqrt_half_pi(y: float) -> float:
-    """v = sqrt(pi y/2) of A11 and A12, y >= 0.  Beyond y = 5.7e307, where
-    pi y overflows, v comes as sqrt(pi/2) sqrt(y), which stays below 1.7e154."""
+    """v = sqrt(pi y/2) of A11 and A12 (u of A8), y >= 0.  Beyond
+    y = 5.7e307, where pi y overflows, v comes as sqrt(pi/2) sqrt(y), which
+    stays below 1.7e154."""
     v = sqrt(pi * y / 2.0)
     if v == math.inf:
         v = sqrt(pi / 2.0) * sqrt(y)

@@ -9,7 +9,11 @@ eta^n(ix) at 15 Chebyshev-Lobatto nodes and integrates cos/sin(a x)
 against its interpolant exactly through Chebyshev moments (QUADPACK's
 qawo; the moments by forward recurrence for c > 14, by a boundary-value
 solve of the same recurrence below), so the panel count follows eta
-rather than the oscillation and does not grow with a.  The switch sits
+rather than the oscillation and does not grow with a.  The cos_recip
+weight x^{-1/2} cos(a/x) oscillates in t = 1/x: on a panel [x_a, x_b]
+with x_a > 0 its integral is int cos(a t) x^{3/2} eta^n(ix) dt over
+[1/x_b, 1/x_a], whose factor beside cos(a t) is smooth, so the same rule
+takes it in t wherever c = a (1/x_a - 1/x_b)/2 > 3.  The switches sit
 in the kernel twins; this driver sees one panel function.  Tail methods:
 
 * ``series-correction`` -- the exp, cos and sin weights (the forms with
@@ -52,7 +56,7 @@ the same panels again and again.  The kernel twins therefore keep a
 per-process memo of what each rule consumes of eta^n at a panel's 15
 nodes (GK15 the values, Filon their Chebyshev sums), keyed by n, the
 rule and the exact endpoints, holding 1,024 panels, and a memo of the
-Filon moments keyed by the exact c = a (b - a)/2; only n >= 1 panels use
+Filon moments keyed by the exact c; only n >= 1 panels use
 them, so no right-hand side quadrature reads a left-hand side's values.
 This module caches the series-correction tail's terms and error (a
 function of n and X) and the exp-bound cutoff (a function of the decay

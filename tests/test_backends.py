@@ -32,6 +32,11 @@ CASES = [
     (F.FORM_SIN, 3, 5.0, 0.0),
     (F.FORM_EXP_RECIP, 3, 1.0, 0.0),
     (F.FORM_COS_RECIP, 3, 4.0, 0.0),
+    # panels of these take the Filon rule in t = 1/x, e.g. [0.5, 1] (c = 8, 500)
+    (F.FORM_COS_RECIP, 1, 16.0, 0.0),
+    (F.FORM_COS_RECIP, 3, 16.0, 0.0),
+    (F.FORM_COS_RECIP, 1, 1e3, 0.0),
+    (F.FORM_COS_RECIP, 3, 1e3, 0.0),
     (F.FORM_ERF_WEIGHT, 3, 0.25, 0.0),
     (F.FORM_SCALED_ERFC_RECIP, 3, 4.0, 0.0),
     (F.FORM_SHIFTED_RECIP, 3, 1.0, 0.5),
@@ -103,19 +108,36 @@ class TestTwins:
             rules[(c > 3.0) + (c > 14.0)] += 1
             assert _same_twice(py, cy, args), args
         assert min(rules) > 150, rules
+        # cos_recip panels on both sides of the same switches, at
+        # c = p1 (1/a - 1/b)/2 in t = 1/x.
+        rules = [0, 0, 0]
+        for _ in range(2_000):
+            n = rng.choice((1, 3))
+            p1 = 10 ** rng.uniform(-2.0, 5.0)
+            a = 10 ** rng.uniform(-6.0, 1.5)
+            args = (F.FORM_COS_RECIP, n, p1, 0.0, a, a * (1.0 + 10 ** rng.uniform(-3.0, 0.0)))
+            c = p1 * 0.5 * (1.0 / a - 1.0 / args[5])
+            rules[(c > 3.0) + (c > 14.0)] += 1
+            assert _same_twice(py, cy, args), args
+        assert min(rules) > 150, rules
 
     @pytest.mark.parametrize("form,n,p1,p2", CASES)
     def test_panels_match(self, form, n, p1, p2):
         py, cy = _BACKENDS["python"], _BACKENDS["compiled"]
         for a, b in [(0.0, 0.25), (1e-12, 0.25), (0.5, 1.0), (2.0, 4.0), (8.0, 16.0)]:
-            assert py.panel(form, n, p1, p2, a, b) == cy.panel(form, n, p1, p2, a, b), (a, b)
+            assert _same_twice(py, cy, (form, n, p1, p2, a, b)), (a, b)
 
 
 # The parameters at which the CLI's weights overflow (A8 and A10 at
 # a = 1e300, A9 at b = 1e307) and the largest double, at abscissae down to
-# 0: the pure weights raise there where C returns inf or NaN.
+# 0: the pure weights raise there where C returns inf or NaN.  Panels the
+# quadrature can form (near its lower limit and below 1), panels where
+# x^{3/2} underflows in eta^3 (from x = 1e-216), and panels where a Filon
+# rule's p1 centr or c overflows (cos, sin and cos_recip).
 _HUGE = (1e300, 1e307, sys.float_info.max)
 _EDGE_XS = [0.0, 5e-324, 1e-300] + XS + [1e300]
+_EDGE_PANELS = [(0.0, 0.25), (1e-12, 2e-12), (0.5, 1.0), (1e-300, 2e-300), (5e-324, 1e-323),
+                (1e300, 1.5e300), (1e300, sys.float_info.max)]
 
 
 def _outcome(f, *args):
@@ -142,11 +164,20 @@ def test_twins_match_at_overflowing_parameters(name):
             for x in _EDGE_XS:
                 args = (row.id, p1, p2, x)
                 assert _outcome(py.kernel_weight, *args) == _outcome(cy.kernel_weight, *args), args
-            # panels the quadrature can form: near its lower limit and below 1
             for n in sorted({n for _, n, _, _ in cases}):
-                for a, b in [(0.0, 0.25), (1e-12, 2e-12), (0.5, 1.0)]:
+                for a, b in _EDGE_PANELS:
                     args = (row.id, n, p1, p2, a, b)
                     assert _outcome(py.panel, *args) == _outcome(cy.panel, *args), args
+
+
+def test_filon_rule_gives_nan_where_its_frequency_overflows():
+    # p1 centr = 1.25e600 and c = 2.5e599 overflow: C's cos/sin(inf) is NaN
+    py = _BACKENDS["python"]
+    value, err, _ = py.panel(F.FORM_COS, 1, 1e300, 0.0, 1e300, 1.5e300)
+    assert math.isnan(value) and math.isnan(err)
+    # in t = 1/x: c = 1e300 (1e300 - 5e299)/2 overflows
+    value, err, _ = py.panel(F.FORM_COS_RECIP, 3, 1e300, 0.0, 1e-300, 2e-300)
+    assert math.isnan(value) and math.isnan(err)
 
 
 def test_weight_table_has_one_function_per_form():
@@ -233,6 +264,23 @@ def test_one_panel_at_several_frequencies_matches_fresh_processes(backend):
     assert [repr(got) for got in here] == [_fresh(k, [args])[1:-1] for args in queries]
 
 
+@pytest.mark.parametrize("backend", sorted(_BACKENDS))
+def test_one_panel_under_every_rule_matches_fresh_processes(backend):
+    # [0.25, 0.5] with n = 3 under GK15 (exp; cos_recip at c = 1), Filon
+    # (cos, c = 10) and Filon in t = 1/x (cos_recip, c = 10 solved and
+    # c = 100 forward; hl = 1 in t): one memo entry per rule, none read
+    # under another rule's key.
+    k = _BACKENDS[backend]
+    queries = [
+        (form, 3, p1, 0.0, 0.25, 0.5)
+        for form, p1 in [(F.FORM_EXP, 2.0), (F.FORM_COS, 80.0), (F.FORM_COS_RECIP, 10.0),
+                         (F.FORM_COS_RECIP, 1.0), (F.FORM_COS_RECIP, 100.0),
+                         (F.FORM_SIN, 80.0), (F.FORM_POWER, 0.5)]
+    ]
+    here = [k.panel(*args) for args in queries]
+    assert [repr(got) for got in here] == [_fresh(k, [args])[1:-1] for args in queries]
+
+
 def test_moments_are_memoised_as_tuples_within_the_cap():
     py = _BACKENDS["python"]
     mu = py._moments(5.5)
@@ -300,9 +348,12 @@ def test_c_source_compiles_warning_free(tmp_path):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     assert mod.BACKEND_NAME == "compiled"
-    # GK15 (c = 0.25), Filon with solved moments (c = 10) and forward ones (c = 25)
+    # GK15 (c = 0.25), Filon with solved moments (c = 10) and forward ones
+    # (c = 25), and Filon in t = 1/x (c = 8 solved, c = 16 forward)
     for args in [(F.FORM_COS, 1, 5.0, 0.0, 0.1, 0.2), (F.FORM_SIN, 3, 80.0, 0.0, 0.25, 0.5),
-                 (F.FORM_COS, 1, 5000.0, 0.0, 0.01, 0.02)]:
+                 (F.FORM_COS, 1, 5000.0, 0.0, 0.01, 0.02),
+                 (F.FORM_COS_RECIP, 1, 8.0, 0.0, 0.25, 0.5),
+                 (F.FORM_COS_RECIP, 3, 16.0, 0.0, 0.25, 0.5)]:
         assert mod.panel(*args) == mod.panel(*args) == _BACKENDS["python"].panel(*args)
 
 

@@ -139,6 +139,28 @@ def test_overflowing_weight_is_the_same_usage_error_on_both_backends(ident, para
     assert len(set(outcomes)) == 1
 
 
+@pytest.mark.parametrize(
+    "ident,param", [("A8", "a=1000"), ("A8", "a=1e5"), ("A8", "a=1e8"), ("A8", "a=1e12"),
+                    ("EQ8", "y=1e308"), ("EQ10", "y=1e308")]
+)
+def test_large_parameter_passes_on_both_backends(ident, param):
+    # A8 ran out of budget between a = 600 and 700, and its right-hand side
+    # overflowed from 8.0e4; EQ8/EQ10's was NaN beyond y = 5.7e307.
+    outs = []
+    for backend in sorted(available_backends()):
+        proc = subprocess.run(
+            [sys.executable, "-m", "etaint.cli", "eval", "--identity", ident, "--param", param,
+             "--format", "json"],
+            env=subprocess_env(pure=backend == "python"), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", (backend, proc.stderr)
+        (record,) = json.loads(proc.stdout)["records"]
+        assert record["status"] == "pass" and record["evals"] < 1_000, (backend, record)
+        outs.append({k: v for k, v in record.items() if k != "ms"})
+    assert all(out == outs[0] for out in outs)
+
+
 class TestRecordDiagnostics:
     def test_json_record_carries_tail_method_cutoff_and_note(self, capsys):
         code, out, _ = run_cli(
@@ -455,7 +477,7 @@ def test_run_all_json_is_the_same_in_a_warm_process(backend):
 @pytest.mark.parametrize("backend", ["compiled", "python"])
 def test_run_all_stays_under_its_evaluation_ceiling(backend):
     # Panels graded toward the lower limit chosen from the clipped-mass
-    # bound: 11,490 evaluations (14,730 from the fixed 1e-12 clip).
+    # bound: 11,280 evaluations (14,730 from the fixed 1e-12 clip).
     if backend not in available_backends():
         pytest.skip("compiled kernel core not built")
     out = subprocess.run(
@@ -487,6 +509,24 @@ def test_fourier_grid_stays_under_its_evaluation_ceiling(backend):
         assert suite["backend"] == backend and suite["totals"]["pass"] == 8
         total += suite["totals"]["evals"]
     assert total <= 9_000
+
+
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_mellin_grid_stays_under_its_evaluation_ceiling(backend):
+    # A8 at a = 0.25:16:5.25: cos(a/x) panels take the Filon rule in
+    # t = 1/x wherever c = a (1/x_a - 1/x_b)/2 > 3, so they need 2,100
+    # evaluations (5,640 with Gauss-Kronrod only, about 150 per unit of a).
+    if backend not in available_backends():
+        pytest.skip("compiled kernel core not built")
+    out = subprocess.run(
+        [sys.executable, "-m", "etaint.cli", "table", "--identity", "A8",
+         "--param", "a=0.25:16:5.25", "--format", "json"],
+        env=subprocess_env(pure=backend == "python"),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    suite = json.loads(out)["suite"]
+    assert suite["backend"] == backend and suite["totals"]["pass"] == 4
+    assert suite["totals"]["evals"] <= 2_400
 
 
 _STARTUP_PROBE = (

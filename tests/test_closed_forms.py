@@ -152,6 +152,39 @@ class TestFourierLargeY:
         # beyond y = 5.7e307, where v = sqrt(pi y/2) no longer comes from pi y
         assert _FOURIER_FORMS[ident](y) == 0.0 == fourier_rhs_mp(ident, y)
 
+    @pytest.mark.parametrize("y", [2e307, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("ident", ["EQ8", "EQ10"])
+    def test_eta_forms_where_pi_y_overflows(self, ident, y):
+        # beyond y = 1.9e307, where 3 pi y overflows, the square roots of the
+        # Laplace transform at t = iy come from sqrt(t) (they gave NaN)
+        assert _FOURIER_FORMS[ident](y) == 0.0 == fourier_rhs_mp(ident, y)
+
+
+def _a8_mp(a: float) -> float:
+    """A8's printed right-hand side at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        u = mpmath.sqrt(mpmath.pi * mpmath.mpf(a) / 2)
+        v = 2 * u
+        return float(2 * mpmath.cos(u) * mpmath.cosh(u) / (mpmath.cos(v) + mpmath.cosh(v)))
+
+
+class TestCosRecipLargeA:
+    """A8's right-hand side: cosh(v) overflows from v = sqrt(2 pi a) of
+    about 710 (a = 8.0e4); from v = 350 (a = 1.95e4) it is divided through
+    by e^v/2 (~1e-172 at a = 1e5, 0 by 1e8)."""
+
+    @pytest.mark.parametrize("a", [1.9e4, 19496.48, 19496.49, 2e4, 8.3e4, 1e5, 1.5e5])
+    def test_matches_mpmath(self, a):
+        got = cf.cos_recip_eta3(a)
+        want = _a8_mp(a)
+        # u ~ 500 is good to eps u, and so are e^-u and cos(u) (5e-13 at 1.5e5)
+        assert abs(got - want) <= 1e-11 * abs(want) + 1e-320, (got, want)
+
+    @pytest.mark.parametrize("a", [1e8, 1e12, 1e300, 1e308, sys.float_info.max])
+    def test_zero_where_it_underflows(self, a):
+        assert cf.cos_recip_eta3(a) == 0.0 == _a8_mp(a)
+
 
 class TestLaplaceEta3:
     def test_zero(self):

@@ -418,6 +418,43 @@ def _mp_panel(form: int, n: int, y: float, a: float, b: float) -> float:
         return float(total)
 
 
+def _mp_recip_panel(n: int, p: float, a: float, b: float) -> float:
+    """int_a^b x^-1/2 cos(p/x) eta^n(ix) dx, 0 < a < b, by mpmath at 30 digits.
+
+    In t = 1/x it is int_{1/b}^{1/a} cos(pt) g(t) dt with g(t) = x^{3/2}
+    eta^n(ix), which the modular transform makes eta^3(it) for n = 3 and
+    eta(it)/t for n = 1.  Their q-series in t are integrated term by term
+    in closed form: e^{-lam t} cos(pt) by its primitive, e^{-lam t}/t
+    cos(pt) as Re[E1(s/b) - E1(s/a)] with s = lam - ip.  The kernels take
+    the same series only where x < 1 and then scale it by x^{3/2}; terms
+    with lam/b > 100 are below 1e-40 and dropped.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        tb, ta, p = 1 / mpmath.mpf(b), 1 / mpmath.mpf(a), mpmath.mpf(p)
+        if n == 1:
+            terms = [(1 if m % 12 in (1, 11) else -1, mpmath.pi * m * m / 12)
+                     for m in range(1, 2000) if m % 12 in (1, 5, 7, 11)]
+        else:
+            terms = [((-1) ** k * (2 * k + 1), mpmath.pi * (2 * k + 1) ** 2 / 4)
+                     for k in range(600)]
+
+        def primitive(t, lam):
+            e = mpmath.exp(-lam * t) / (lam * lam + p * p)
+            return e * (p * mpmath.sin(p * t) - lam * mpmath.cos(p * t))
+
+        total = mpmath.mpf(0)
+        for coef, lam in terms:
+            if lam * tb > 100:
+                break
+            if n == 3:
+                total += coef * (primitive(ta, lam) - primitive(tb, lam))
+            else:
+                s = mpmath.mpc(lam, -p)
+                total += coef * (mpmath.e1(s * tb) - mpmath.e1(s * ta)).real
+        return float(total)
+
+
 class TestFilonPanel:
     """cos/sin panels with c = p1 (b - a)/2 > 3 use the Filon-Clenshaw-Curtis
     rule: 15 eta samples, the oscillation integrated exactly by moments."""
@@ -465,6 +502,41 @@ class TestFilonPanel:
             assert true_err <= err + _EPS * y * b * resabs + 1e-29, (form, n, y, a, b)
         assert small_c >= 40
 
+    def test_cos_recip_err_est_bounds_the_true_error(self):
+        # cos_recip panels take the cos rule in t = 1/x where
+        # c = p1 (1/a - 1/b)/2 > 3.  A8's panels: the graded [2^-j, 2^(1-j)]
+        # toward the lower limit, dyadic pieces of [0, 4] and the doubling
+        # panels up to its cutoff.  Besides err_est, allow for the rounding of
+        # the weight's argument p1 t (eps p1 / a times the mass) and 1e-29,
+        # which covers panels far below the tolerance near the lower limit
+        # (values of 1e-88 there, where 15 samples of eta^3(it) ~ e^{-pi t/4}
+        # over t in [256, 512] leave a relative error of 1e-5).
+        rng = random.Random(13)
+        checked = small_c = 0
+        while checked < 60:
+            n = rng.choice((1, 3))
+            p1 = 10 ** rng.uniform(-0.5, 4.7)
+            r = rng.random()
+            if r < 0.25:
+                j = rng.randint(1, 9)
+                a, b = 2.0**-j, 2.0 ** (1 - j)
+            elif r < 0.4:
+                j = rng.randint(0, 4)
+                a, b = 2.0**j, 2.0 ** (j + 1)
+            else:
+                level = rng.randint(0, 10)
+                j = rng.randrange(1, 4 * 2**level)
+                a, b = j / 2**level, (j + 1) / 2**level
+            c = p1 * 0.5 * (1.0 / a - 1.0 / b)
+            if c <= 3.0:
+                continue
+            checked += 1
+            small_c += c <= 14.0
+            value, err, resabs = _backend.panel(F.FORM_COS_RECIP, n, p1, 0.0, a, b)
+            true_err = abs(value - _mp_recip_panel(n, p1, a, b))
+            assert true_err <= err + _EPS * p1 / a * resabs + 1e-29, (n, p1, a, b)
+        assert small_c >= 10
+
     @pytest.mark.parametrize("form", [F.FORM_COS, F.FORM_SIN])
     def test_fifteen_samples_resolve_any_frequency(self, form):
         # c = 25,000: Gauss-Kronrod would need thousands of panels here,
@@ -472,6 +544,21 @@ class TestFilonPanel:
         value, err, resabs = _backend.panel(form, 1, 1e5, 0.0, 0.5, 1.0)
         assert err == 50.0 * _EPS * resabs
         assert abs(value - _mp_panel(form, 1, 1e5, 0.5, 1.0)) <= err
+
+
+@pytest.mark.parametrize("backend", sorted(_backend.available_backends()))
+def test_a8_passes_across_its_frequency_range(monkeypatch, backend):
+    # With the Filon rule in t = 1/x the panel count follows eta, not
+    # cos(a/x): GK15 alone needed about 150 evaluations per unit of a and
+    # ran out of budget from a of about 650.
+    kernels = _backend.available_backends()[backend]
+    monkeypatch.setattr(_backend, "panel", kernels.panel)
+    monkeypatch.setattr(_backend, "kernel_weight", kernels.kernel_weight)
+    spec = verify.registry_by_id()["A8"]
+    for i in range(60):
+        a = 10.0 ** (-3.0 + i * (math.log10(5e4) + 3.0) / 59)
+        record = verify.verify_identity(spec, {"a": a})
+        assert record.status == "pass" and record.evals <= 1_000, (a, record)
 
 
 class TestKernelSpecValidation:
